@@ -10,8 +10,9 @@ degradation policy across regions:
 * when a spot stage degrades (preemption cap or timeout) **while the
   world is inside a storm, or because its whole AZ was reclaimed**, the
   fallback flees the region entirely: the checkpoint is transferred to
-  the next region in the topology ring (billed as a zero-second
-  ``TRANSFER`` segment at the source region's egress rate), the stage
+  the next region in the topology ring (billed through the executor's
+  ``_bill`` as a zero-second ``transfer:`` segment at the source
+  region's egress rate), the stage
   finishes on the target region's repriced on-demand twin, and
   subsequent re-planning prices the menu in the new region (spot
   excluded — degraded flows flee to reliability);
@@ -33,7 +34,6 @@ from typing import List, Mapping, Optional, Sequence
 
 from ..cloud.events import EventKind, ExecutionTrace
 from ..cloud.executor import (
-    BilledSegment,
     ExecutionPolicy,
     ExecutionResult,
     FaultInjector,
@@ -173,7 +173,7 @@ class ChaosPlanExecutor(PlanExecutor):
             reason="az_reclaim" if az_struck else "storm",
             sim_time=t,
         )
-        self._bill_transfer(result, trace, t, stage_key, rec, src, dst, gb, cost)
+        self._bill_transfer(trace, t, rec, src, dst, gb, cost)
         get_metrics().counter("chaos.failovers").inc()
         get_metrics().counter("chaos.failovers_by_region", region=dst).inc()
         self._current_region = dst
@@ -201,45 +201,31 @@ class ChaosPlanExecutor(PlanExecutor):
 
     def _bill_transfer(
         self,
-        result: ExecutionResult,
         trace: ExecutionTrace,
         t: float,
-        stage_key: str,
         rec: StageRecord,
         src: str,
         dst: str,
         gb: float,
         cost: float,
     ) -> None:
-        """Bill a checkpoint move as a zero-second segment.
+        """Bill a checkpoint move as a zero-second ``transfer:`` segment.
 
-        Mirrors ``_bill`` so the three billing views (result total,
-        segment sum, trace ``billed`` events) stay exactly equal.
+        Records the ``TRANSFER`` event and the ``chaos.transfer_cost``
+        counter, then bills the segment through ``_bill`` like any lease.
         """
-        result.total_cost += cost
-        rec.cost += cost
-        metrics = get_metrics()
-        metrics.counter("executor.billed_cost").inc(cost)
-        metrics.counter("chaos.transfer_cost").inc(cost)
+        stage_key = rec.stage.value
+        get_metrics().counter("chaos.transfer_cost").inc(cost)
         get_tracer().event(
             EventKind.TRANSFER.value, stage=stage_key, src=src, dst=dst,
             gb=gb, cost=cost, sim_time=t,
         )
         vm_label = f"transfer:{src}->{dst}"
-        if trace.enabled:
-            result.segments.append(
-                BilledSegment(
-                    stage=stage_key, vm=vm_label, seconds=0.0, cost=cost
-                )
-            )
-            trace.record(
-                t, EventKind.TRANSFER, stage=stage_key, vm=vm_label,
-                src=src, dst=dst, gb=gb, cost=cost,
-            )
-            trace.record(
-                t, EventKind.BILLED, stage=stage_key, vm=vm_label,
-                seconds=0.0, cost=cost,
-            )
+        trace.record(
+            t, EventKind.TRANSFER, stage=stage_key, vm=vm_label,
+            src=src, dst=dst, gb=gb, cost=cost,
+        )
+        self._bill(trace, t, rec, vm_label, 0.0, cost)
 
     def _repriced_menu(self, stage_options: Sequence, region: str) -> List:
         """The planning menu as priced in ``region``, spot excluded."""

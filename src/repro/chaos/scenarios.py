@@ -25,9 +25,8 @@ is the byte-stable artifact CI ``cmp``\\ s across repeat runs.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..cloud.events import EventKind
 from ..cloud.executor import ExecutionPolicy, ExecutionResult
@@ -35,6 +34,7 @@ from ..cloud.faults import FaultProfile
 from ..cloud.tenancy import NeighborLoad
 from ..eda.job import EDAStage
 from ..obs.store import RunRecord
+from ..seeding import stream_seed
 from ..service.api import ServiceConfig, seeded_job_mix
 from .engine import ChaosPlanExecutor, DegradationBound, degradation_bound
 from .processes import ChaosSpec
@@ -195,8 +195,8 @@ def _placement(
     zones = topology.zones
     out: Dict[str, str] = {}
     for stage in EDAStage.ordered():
-        key = f"{seed}:stage-az:{scenario.name}:{stage.value}"
-        out[stage.value] = zones[zlib.crc32(key.encode()) % len(zones)]
+        draw = stream_seed(seed, "stage-az", scenario.name, stage.value)
+        out[stage.value] = zones[draw % len(zones)]
     return out
 
 

@@ -23,10 +23,10 @@ storm is exactly when requeues must be admitted.
 from __future__ import annotations
 
 import asyncio
-import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
+from ..seeding import stream_seed
 from ..service.api import EDAService, ServiceConfig, session_log
 from ..service.errors import ServiceError
 from ..service.jobs import Job, JobContext, JobRequest
@@ -40,7 +40,7 @@ __all__ = ["StormSessionResult", "plan_evictions", "run_storm_session"]
 def job_zone(topology: CloudTopology, seed: int, index: int) -> str:
     """Deterministic AZ placement of the ``index``-th submitted job."""
     zones = topology.zones
-    return zones[zlib.crc32(f"{seed}:job-az:{index}".encode()) % len(zones)]
+    return zones[stream_seed(seed, "job-az", index) % len(zones)]
 
 
 def plan_evictions(

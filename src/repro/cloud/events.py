@@ -4,8 +4,8 @@ Every decision the plan executor makes — provisioning attempts, fault
 injections, backoff sleeps, checkpoint commits, spot preemptions,
 on-demand fallbacks, mid-flight re-planning — is recorded as an
 :class:`ExecutionEvent` in an :class:`ExecutionTrace`.  The trace is the
-executor's ground truth: billing is reconstructed from its ``billed``
-events, the verification oracles replay it to check causality (no stage
+executor's replayable log: each billed segment emits one ``billed``
+event, the verification oracles replay it to check causality (no stage
 starts before its predecessor commits, retries stay within policy, cost
 equals the sum of billed segments), and byte-reproducibility from a seed
 is asserted event-for-event.
@@ -18,10 +18,21 @@ from __future__ import annotations
 
 import enum
 import json
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from functools import reduce
+from typing import Iterable, List, Optional, Tuple
 
-__all__ = ["EventKind", "ExecutionEvent", "ExecutionTrace"]
+__all__ = ["EventKind", "ExecutionEvent", "ExecutionTrace", "running_sum"]
+
+
+def running_sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum, bit-identical to a ``+=`` accumulator.
+
+    Billing totals are compared with ``==``; the builtin ``sum()``
+    compensates from Python 3.12 on and can differ in the last bit.
+    """
+    return reduce(operator.add, values, 0.0)
 
 
 class EventKind(str, enum.Enum):
@@ -160,19 +171,15 @@ class ExecutionTrace:
 
     @property
     def billed_cost(self) -> float:
-        """Total cost reconstructed from the ``billed`` events."""
-        return sum(e.get("cost", 0.0) for e in self.of_kind(EventKind.BILLED))
+        return running_sum(
+            e.get("cost", 0.0) for e in self.of_kind(EventKind.BILLED)
+        )
 
     @property
     def billed_seconds(self) -> float:
-        return sum(e.get("seconds", 0.0) for e in self.of_kind(EventKind.BILLED))
-
-    def billed_by_stage(self) -> Dict[str, float]:
-        """Per-stage billed cost (the oracle sums these against totals)."""
-        out: Dict[str, float] = {}
-        for e in self.of_kind(EventKind.BILLED):
-            out[e.stage] = out.get(e.stage, 0.0) + e.get("cost", 0.0)
-        return out
+        return running_sum(
+            e.get("seconds", 0.0) for e in self.of_kind(EventKind.BILLED)
+        )
 
     def render(self) -> str:
         """Deterministic multi-line rendering (same seed ⇒ same bytes)."""

@@ -24,21 +24,22 @@ and some hosts straggle.  Robustness policy is first-class:
   retry bounds, and billing against the trace.
 
 Billing follows the cloud model: every VM lease segment (completed or
-preempted) is billed per whole second on the VM it ran on, so the final
-cost is exactly the sum of billed segments.
+preempted) is billed per whole second on the VM it ran on.  The stage
+records' :class:`BilledSegment` lists are the only record of billing:
+every cost total folds over them, and their one writer,
+:meth:`PlanExecutor._bill`, emits the ``billed`` events and counters.
 """
 
 from __future__ import annotations
 
-import math
-import zlib
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 from ..eda.job import EDAStage
 from ..obs import get_logger, get_metrics, get_tracer
 from ..obs.log import crash_scope
-from .events import EventKind, ExecutionTrace
+from ..seeding import stream_seed
+from .events import EventKind, ExecutionTrace, running_sum
 from .faults import FaultInjector, FaultProfile
 from .instance import InstanceFamily, VMConfig
 from .provisioner import DeploymentPlan, StageAssignment
@@ -161,16 +162,20 @@ class BilledSegment:
 
 @dataclass
 class StageRecord:
-    """Per-stage execution outcome."""
+    """Per-stage execution outcome; ``segments`` is its billing record."""
 
     stage: EDAStage
     vm: VMConfig
     attempts: int = 1
     preemptions: int = 0
     wall_seconds: float = 0.0
-    cost: float = 0.0
     fell_back: bool = False
     committed: bool = False
+    segments: List[BilledSegment] = field(default_factory=list)
+
+    @property
+    def cost(self) -> float:
+        return running_sum(seg.cost for seg in self.segments)
 
 
 @dataclass
@@ -181,13 +186,24 @@ class ExecutionResult:
     deadline_seconds: Optional[float]
     seed: int
     trace: ExecutionTrace
-    segments: List[BilledSegment] = field(default_factory=list)
     stage_records: List[StageRecord] = field(default_factory=list)
     completed: bool = False
     replanned: bool = False
     replan_feasible: bool = True
     total_time: float = 0.0
-    total_cost: float = 0.0
+
+    @property
+    def segments(self) -> List[BilledSegment]:
+        """Every billed segment in time order (stages run back to back)."""
+        return [seg for rec in self.stage_records for seg in rec.segments]
+
+    @property
+    def total_cost(self) -> float:
+        return running_sum(seg.cost for seg in self.segments)
+
+    @property
+    def billed_seconds(self) -> float:
+        return running_sum(seg.seconds for seg in self.segments)
 
     @property
     def met_deadline(self) -> bool:
@@ -479,28 +495,26 @@ class PlanExecutor:
 
     def _bill(
         self,
-        result: ExecutionResult,
         trace: ExecutionTrace,
         t: float,
-        stage_key: str,
-        vm: VMConfig,
-        seconds: float,
         rec: StageRecord,
+        vm_name: str,
+        seconds: float,
+        cost: float,
     ) -> None:
-        cost = vm.cost(seconds)
-        result.total_cost += cost
-        rec.cost += cost
+        """Append a billed segment (the only writer of billing) and emit
+        it to the ``executor.billed_*`` counters and the trace."""
+        stage_key = rec.stage.value
+        rec.segments.append(
+            BilledSegment(stage=stage_key, vm=vm_name, seconds=seconds, cost=cost)
+        )
         metrics = get_metrics()
         metrics.counter("executor.billed_seconds").inc(seconds)
         metrics.counter("executor.billed_cost").inc(cost)
-        if trace.enabled:
-            result.segments.append(
-                BilledSegment(stage=stage_key, vm=vm.name, seconds=seconds, cost=cost)
-            )
-            trace.record(
-                t, EventKind.BILLED, stage=stage_key, vm=vm.name,
-                seconds=seconds, cost=cost,
-            )
+        trace.record(
+            t, EventKind.BILLED, stage=stage_key, vm=vm_name,
+            seconds=seconds, cost=cost,
+        )
 
     def _on_demand_twin(
         self, vm: VMConfig, stage: EDAStage, stage_options: Optional[Sequence]
@@ -597,7 +611,9 @@ class PlanExecutor:
             fell_back = False
             if not spot:
                 t += effective
-                self._bill(result, trace, t, stage_key, a.vm, effective, rec)
+                self._bill(
+                    trace, t, rec, a.vm.name, effective, a.vm.cost(effective)
+                )
             else:
                 t, fell_back = self._run_spot(
                     a, t, stage_t0, budget, effective, attempt, injector,
@@ -658,7 +674,9 @@ class PlanExecutor:
             draw = injector.time_to_preemption(stage_key, attempt, now=t)
             if draw >= segment:
                 t += segment
-                self._bill(result, trace, t, stage_key, a.vm, segment, rec)
+                self._bill(
+                    trace, t, rec, a.vm.name, segment, a.vm.cost(segment)
+                )
                 remaining -= segment
                 if remaining > _WORK_EPS:
                     trace.record(
@@ -667,7 +685,7 @@ class PlanExecutor:
                     )
                 continue
             t += draw
-            self._bill(result, trace, t, stage_key, a.vm, draw, rec)
+            self._bill(trace, t, rec, a.vm.name, draw, a.vm.cost(draw))
             rec.preemptions += 1
             trace.record(
                 t, EventKind.PREEMPTION, stage=stage_key, vm=a.vm.name,
@@ -718,7 +736,7 @@ class PlanExecutor:
                     sim_time=t,
                 )
                 t += remaining
-                self._bill(result, trace, t, stage_key, od, remaining, rec)
+                self._bill(trace, t, rec, od.name, remaining, od.cost(remaining))
                 rec.vm = od
                 rec.fell_back = True
                 return t, True
@@ -797,8 +815,8 @@ def simulate_spot_completion_times(
     Runs ``trials`` independent seeded executions of a single-stage spot
     plan with unbounded policy (no fallback, no timeout) and returns each
     run's wall-clock — the chaos harness compares their mean against
-    :func:`~repro.cloud.spot.spot_expected_runtime`.  Lean mode: traces
-    and billed-segment objects are not materialized.
+    :func:`~repro.cloud.spot.spot_expected_runtime`.  Lean mode: no trace
+    events are recorded.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -818,7 +836,7 @@ def simulate_spot_completion_times(
     executor = PlanExecutor(profile=profile, policy=ExecutionPolicy.unbounded())
     times: List[float] = []
     for trial in range(trials):
-        trial_seed = zlib.crc32(f"spot-sim:{seed}:{trial}".encode())
+        trial_seed = stream_seed("spot-sim", seed, trial)
         outcome = executor.execute(plan, seed=trial_seed, record_events=False)
         times.append(outcome.total_time)
     return times

@@ -5,8 +5,8 @@ preemptions (the same rate model :func:`~repro.cloud.spot.spot_expected_runtime`
 prices), VM boot/provisioning failures, transient control-plane API
 errors, and straggler slowdowns.  A :class:`FaultInjector` decides *when*
 it goes wrong, drawing every fault from its own ``random.Random`` stream
-keyed by ``crc32(f"{seed}:{purpose}:{stage}:{attempt}")`` — the same
-stable-seed construction :mod:`repro.verify.fuzz` uses — so an execution
+keyed by ``stream_seed(seed, purpose, stage, attempt)`` — the
+package-wide stable seed of :mod:`repro.seeding` — so an execution
 is byte-reproducible from its seed and two seeds diverge immediately.
 
 Keeping the streams independent per (purpose, stage, attempt) means the
@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import math
 import random
-import zlib
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
+
+from ..seeding import stream_seed
 
 __all__ = ["FaultProfile", "FaultInjector"]
 
@@ -148,7 +149,7 @@ class FaultInjector:
     """Seeded source of all fault decisions for one execution.
 
     Every query draws from a dedicated :class:`random.Random` stream keyed
-    by ``(seed, purpose, stage, attempt)`` via ``zlib.crc32`` — stable
+    by ``(seed, purpose, stage, attempt)`` via ``stream_seed`` — stable
     across processes and Python versions.  Repeated calls with the same
     key draw successive values from the same stream (the preemption
     sampler consumes one draw per attempted segment).
@@ -157,13 +158,13 @@ class FaultInjector:
     def __init__(self, profile: FaultProfile, seed: int = 0):
         self.profile = profile
         self.seed = seed
-        self._streams: Dict[str, random.Random] = {}
+        self._streams: Dict[Tuple[str, str, int], random.Random] = {}
 
     def stream(self, purpose: str, stage: str, attempt: int = 0) -> random.Random:
-        key = f"{self.seed}:{purpose}:{stage}:{attempt}"
+        key = (purpose, stage, attempt)
         rng = self._streams.get(key)
         if rng is None:
-            rng = random.Random(zlib.crc32(key.encode()))
+            rng = random.Random(stream_seed(self.seed, purpose, stage, attempt))
             self._streams[key] = rng
         return rng
 

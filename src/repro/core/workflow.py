@@ -8,17 +8,16 @@ configuration per stage under a deadline via the MCKP solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional
 
 from ..cloud.instance import InstanceFamily
 from ..cloud.pricing import PricingTable, aws_like_catalog
 from ..cloud.provisioner import RECOMMENDED_FAMILY, DeploymentPlan
 from ..eda.flow import FlowRunner
 from ..eda.job import EDAStage
-from ..netlist import aig_to_graph, benchmarks, netlist_to_star_graph
+from ..netlist import aig_to_graph, netlist_to_star_graph
 from ..netlist.aig import AIG
-from .characterize import CharacterizationReport, characterize
 from .optimize import (
     Selection,
     StageOptions,
@@ -77,7 +76,11 @@ class WorkflowOutcome:
 
 
 class CloudDeploymentWorkflow:
-    """Characterize -> predict -> optimize (Figure 1).
+    """Predict -> optimize (Figure 1), on the characterization's families.
+
+    ``families`` starts as the per-stage recommendation of Problem 1
+    (:data:`~repro.cloud.provisioner.RECOMMENDED_FAMILY`;
+    :func:`~repro.core.characterize.characterize` re-derives it).
 
     Parameters
     ----------
@@ -94,20 +97,8 @@ class CloudDeploymentWorkflow:
     ):
         self.catalog = catalog if catalog is not None else aws_like_catalog()
         self.runner = runner if runner is not None else FlowRunner()
-        self.characterization: Optional[CharacterizationReport] = None
         self.families: Mapping[EDAStage, InstanceFamily] = RECOMMENDED_FAMILY
         self.predictors: Optional[PredictorSuite] = None
-
-    # -- step 1 ----------------------------------------------------------
-    def run_characterization(
-        self, design: str = "sparc_core", scale: float = 1.5, sample_rate: int = 2
-    ) -> CharacterizationReport:
-        """Problem 1: measure counters, derive per-stage family choices."""
-        self.characterization = characterize(
-            design, scale=scale, sample_rate=sample_rate, runner=self.runner
-        )
-        self.families = self.characterization.recommended_families()
-        return self.characterization
 
     # -- step 2 ----------------------------------------------------------
     def train_runtime_models(
@@ -152,10 +143,3 @@ class CloudDeploymentWorkflow:
             selection=selection,
             stage_options=stages,
         )
-
-    # -- end-to-end -------------------------------------------------------
-    def deploy(self, design: str, deadline_seconds: float, scale: float = 1.0) -> WorkflowOutcome:
-        """Full Figure-1 pass for a named benchmark design."""
-        aig = benchmarks.build(design, scale)
-        runtimes = self.predict_runtimes(aig)
-        return self.optimize_deployment(runtimes, deadline_seconds, design=aig.name)

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import math
 import random
-import zlib
 from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from ..cloud.executor import is_spot_vm
 from ..core.optimize import ConfigOption, StageOptions
+from ..seeding import stream_seed
 
 __all__ = ["PriceTick", "SpotMarketFeed"]
 
@@ -99,8 +99,7 @@ class SpotMarketFeed:
     def _stream(self, pool: str) -> random.Random:
         rng = self._streams.get(pool)
         if rng is None:
-            key = f"{self.seed}:spot-walk:{pool}"
-            rng = random.Random(zlib.crc32(key.encode()))
+            rng = random.Random(stream_seed(self.seed, "spot-walk", pool))
             self._streams[pool] = rng
         return rng
 

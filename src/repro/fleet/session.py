@@ -21,7 +21,6 @@ bench, the CLI, the service runner, and the tests all share.
 from __future__ import annotations
 
 import random
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -32,6 +31,7 @@ from ..cloud.spot import SpotMarket
 from ..core.optimize import ConfigOption, StageOptions
 from ..eda.job import EDAStage
 from ..obs.spans import mint_trace_id
+from ..seeding import stream_seed
 from .market import SpotMarketFeed
 from .planner import FleetPlan, FleetPlanner, FlowSpec
 
@@ -63,7 +63,7 @@ def synthetic_fleet(
     """
     if flows < 1 or menus < 1 or deadline_buckets < 1:
         raise ValueError("flows, menus, and deadline_buckets must be >= 1")
-    rng = random.Random(zlib.crc32(f"fleet:{seed}".encode()))
+    rng = random.Random(stream_seed("fleet", seed))
     families = list(InstanceFamily)
     menu_map: Dict[str, List[StageOptions]] = {}
     menu_deadlines: Dict[str, List[int]] = {}
@@ -211,7 +211,7 @@ class ContinuousSession:
         self._tick = 0
 
     def _flow_seed(self, flow_id: str) -> int:
-        return zlib.crc32(f"{self.seed}:exec:{flow_id}".encode())
+        return stream_seed(self.seed, "exec", flow_id)
 
     def _flow_trace_id(self, flow_id: str) -> str:
         """One deterministic trace per executed flow (seed + flow id)."""

@@ -293,20 +293,6 @@ def _const_word(value: int, width: int) -> Word:
     return [CONST_TRUE if (value >> i) & 1 else CONST_FALSE for i in range(width)]
 
 
-def _mul_word_const(aig: AIG, x: Word, const: int) -> Word:
-    """Multiply a word by a small constant via shift-and-add (truncated)."""
-    width = len(x)
-    acc: Word = [CONST_FALSE] * width
-    shift = 0
-    while const and shift < width:
-        if const & 1:
-            shifted = [CONST_FALSE] * shift + x[: width - shift]
-            acc, _ = _add_words(aig, acc, shifted)
-        const >>= 1
-        shift += 1
-    return acc
-
-
 def _mul_words_trunc(aig: AIG, a: Word, b: Word) -> Word:
     """Truncated (same-width) multiplication used by polynomial evaluators."""
     width = len(a)

@@ -30,6 +30,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from ..seeding import stream_seed
+
 __all__ = [
     "Span",
     "SpanEvent",
@@ -51,8 +53,8 @@ def mint_trace_id(component: str, seed: int, index: int = 0) -> str:
     streams over the ``component:seed:index`` triple), so the same
     seeded workload mints byte-identical trace ids on every run.
     """
-    hi = zlib.crc32(f"trace:{component}:{seed}:{index}".encode())
-    lo = zlib.crc32(f"trace:{index}:{seed}:{component}".encode())
+    hi = stream_seed("trace", component, seed, index)
+    lo = stream_seed("trace", index, seed, component)
     return f"{hi:08x}{lo:08x}"
 
 
@@ -270,10 +272,6 @@ class Tracer:
         stack = self._trace_stack()
         return stack[-1] if stack else None
 
-    def spans_for_trace(self, trace_id: str) -> List[Span]:
-        """All spans stitched into ``trace_id``, in allocation order."""
-        return [s for s in self.spans if s.trace_id == trace_id]
-
     def open_stack(self) -> List[Span]:
         """Copy of this thread's open-span stack, outermost first."""
         return list(self._stack())
@@ -347,9 +345,6 @@ class Tracer:
             self.orphan_events.append(SpanEvent(name=name, time=now, tags=tags))
 
     # -- inspection -------------------------------------------------------
-    def finished_spans(self) -> List[Span]:
-        return [s for s in self.spans if s.finished]
-
     def roots(self) -> List[Span]:
         return [s for s in self.spans if s.parent_id is None]
 

@@ -11,9 +11,9 @@ framework-free, stdlib-asyncio service:
   cooperative cancellation/timeout contexts, run-store persistence,
 * :mod:`repro.service.queue`   — bounded priority queue (deterministic
   FIFO tie-break), per-client token buckets, admission control,
-* :mod:`repro.service.pool`    — asyncio worker pool (inline mode for
-  replayable sessions, thread mode for wall-clock overlap), graceful
-  drain, guaranteed slot release,
+* :mod:`repro.service.pool`    — asyncio worker pool running jobs
+  inline on the event loop (replayable sessions), graceful drain,
+  guaranteed slot release,
 * :mod:`repro.service.runners` — job kinds mapped onto the pipeline,
   with a memoized characterization flow,
 * :mod:`repro.service.api`     — the in-process request API

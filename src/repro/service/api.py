@@ -54,6 +54,7 @@ class ServiceConfig:
     ``rate_capacity=None`` disables per-client rate limiting entirely;
     otherwise each client gets a token bucket with that burst capacity,
     refilled at ``rate_refill_per_second`` on the service clock.
+    ``mode`` must be ``"inline"``, the pool's only execution mode.
     """
 
     workers: int = 2
@@ -69,6 +70,10 @@ class ServiceConfig:
     #: incarnations per original request.
     requeue_on_eviction: bool = True
     max_requeues: int = 1
+
+    def __post_init__(self) -> None:
+        if self.mode != "inline":
+            raise ValueError(f"unknown pool mode {self.mode!r}")
 
 
 class EDAService:
@@ -108,7 +113,6 @@ class EDAService:
             runner=self._traced_runner,
             size=self.config.workers,
             clock=self.clock,
-            mode=self.config.mode,
             crash_dir=self.config.crash_dir,
             on_terminal=self._on_terminal,
             tracer=self.tracer,

@@ -152,8 +152,8 @@ class Job:
     #: stitched under it.  Requeued incarnations get fresh trace ids.
     trace_id: Optional[str] = None
     #: Per-job metric snapshot (``MetricsSnapshot.to_dict()``), recorded
-    #: by the pool in inline mode — the multi-job billing oracle compares
-    #: these counters against the job's own execution trace.
+    #: by the pool — the multi-job billing oracle compares these counters
+    #: against the job's own billed totals.
     metrics: Dict[str, dict] = field(default_factory=dict)
 
     @property

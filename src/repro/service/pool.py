@@ -1,19 +1,14 @@
 """Asyncio worker pool: N workers draining the priority queue.
 
-Two execution modes, one scheduling discipline:
-
-* ``inline`` (default) — the runner executes synchronously *inside* the
-  event loop.  Workers only interleave at the explicit yield between
-  jobs, so with a seeded arrival schedule the completion order equals
-  the queue's delivery order exactly: the whole service becomes a
-  deterministic state machine.  Inline mode also lets the pool scope a
-  **fresh metric registry per job** (``scoped(metrics=...)`` swaps a
-  process-global, which is only safe while jobs are serialized), which
-  is what the multi-job billing oracle audits.
-* ``thread`` — the runner executes via ``loop.run_in_executor`` for
-  real wall-clock overlap.  Jobs share the ambient metric registry and
-  completion order is timing-dependent; use for throughput, not for
-  replayable sessions.
+The runner executes synchronously *inside* the event loop.  Workers
+only interleave at the explicit yield between jobs, so with a seeded
+arrival schedule the completion order equals the queue's delivery order
+exactly: the whole service becomes a deterministic state machine.
+Serialized jobs also let the pool scope a **fresh metric registry per
+job** (``scoped(metrics=...)`` swaps a process-global, which is only
+safe while jobs are serialized), which is what the multi-job billing
+oracle audits.  The engines are GIL-bound, so running jobs on threads
+would buy no wall-clock overlap.
 
 Invariants the property tests hold the pool to:
 
@@ -37,7 +32,7 @@ still queued.
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from ..obs import MetricsRegistry, Tracer, get_logger, get_tracer, scoped
 from ..obs.log import build_crash_report, write_crash_report
@@ -57,23 +52,19 @@ class WorkerPool:
         runner: Callable[[Job, JobContext], dict],
         size: int,
         clock: Callable[[], float],
-        mode: str = "inline",
         crash_dir: Optional[str] = None,
         on_terminal: Optional[Callable[[Job], None]] = None,
         tracer: Optional[Tracer] = None,
     ):
         if size < 1:
             raise ValueError("pool size must be >= 1")
-        if mode not in ("inline", "thread"):
-            raise ValueError(f"unknown pool mode {mode!r}")
         self.queue = queue
         self.runner = runner
         self.size = size
         self.clock = clock
-        self.mode = mode
         self.crash_dir = crash_dir
         self.on_terminal = on_terminal
-        #: Installed as the global tracer around each inline job (the
+        #: Installed as the global tracer around each job (the
         #: same swap discipline as the per-job metric registry), so
         #: runner-internal spans land on the service's tracer and under
         #: the job's trace id.
@@ -144,7 +135,7 @@ class WorkerPool:
                 continue
             await self._run_job(index, job)
             # Yield so peers (and cancellation requests) interleave at a
-            # deterministic point even in inline mode.
+            # deterministic point.
             await asyncio.sleep(0)
 
     async def _run_job(self, index: int, job: Job) -> None:
@@ -160,22 +151,15 @@ class WorkerPool:
         self.active += 1
         self.slots_acquired += 1
         try:
-            if self.mode == "inline":
-                registry = MetricsRegistry()
-                tracer = self.tracer if self.tracer is not None else get_tracer()
-                try:
-                    with scoped(metrics=registry, tracer=self.tracer):
-                        with tracer.trace(job.trace_id):
-                            ctx.checkpoint()
-                            result = self.runner(job, ctx)
-                finally:
-                    job.metrics = registry.snapshot().to_dict()
-            else:
-                ctx.checkpoint()
-                loop = asyncio.get_running_loop()
-                result = await loop.run_in_executor(
-                    None, self.runner, job, ctx
-                )
+            registry = MetricsRegistry()
+            tracer = self.tracer if self.tracer is not None else get_tracer()
+            try:
+                with scoped(metrics=registry, tracer=self.tracer):
+                    with tracer.trace(job.trace_id):
+                        ctx.checkpoint()
+                        result = self.runner(job, ctx)
+            finally:
+                job.metrics = registry.snapshot().to_dict()
             job.result = result
             job.transition(JobState.DONE, self.clock())
         except JobEvicted as exc:

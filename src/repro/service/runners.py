@@ -21,7 +21,7 @@ The default :class:`PipelineRunner` understands six kinds:
 
 Flow results are memoized on ``(design, scale, flow_seed)`` — many jobs
 in one session characterize the same design, and the flow is by far the
-most expensive step.  The cache is lock-guarded for thread-mode pools.
+most expensive step.
 Results are plain JSON-safe dicts and, for fixed request seeds,
 bit-deterministic — the service's determinism contract bottoms out
 here.
@@ -29,7 +29,6 @@ here.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Dict, Optional, Tuple
 
 from ..cloud.executor import ExecutionPolicy, PlanExecutor
@@ -60,7 +59,6 @@ class PipelineRunner:
         self.policy = policy if policy is not None else ExecutionPolicy()
         self.cache_flows = cache_flows
         self._flow_cache: Dict[Tuple[str, float, int], FlowResult] = {}
-        self._lock = threading.Lock()
 
     def __call__(self, job: Job, ctx: JobContext) -> dict:
         kind = job.request.kind
@@ -82,16 +80,14 @@ class PipelineRunner:
         req = job.request
         key = (req.design, req.scale, req.flow_seed)
         if self.cache_flows:
-            with self._lock:
-                cached = self._flow_cache.get(key)
+            cached = self._flow_cache.get(key)
             if cached is not None:
                 return cached
         runner = FlowRunner(seed=req.flow_seed)
         aig = benchmarks.build(req.design, req.scale)
         flow = runner.run(aig, seed=req.flow_seed)
         if self.cache_flows:
-            with self._lock:
-                self._flow_cache[key] = flow
+            self._flow_cache[key] = flow
         return flow
 
     @staticmethod
@@ -160,8 +156,8 @@ class PipelineRunner:
             "met_deadline": met_deadline,
             "total_time": outcome.total_time,
             "total_cost": outcome.total_cost,
-            "billed_seconds": outcome.trace.billed_seconds,
-            "billed_cost": outcome.trace.billed_cost,
+            "billed_seconds": outcome.billed_seconds,
+            "billed_cost": outcome.total_cost,
         }
 
     # -- kinds ------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Deterministic seeded fuzz driver over the differential oracles.
 
 Every trial derives a 32-bit *trial seed* from ``(oracle name, base seed,
-trial index)`` via ``zlib.crc32`` — stable across processes and Python
-versions (unlike ``hash``, which ``PYTHONHASHSEED`` randomizes).  A trial
+trial index)`` via :func:`repro.seeding.stream_seed` — stable across
+processes and Python versions (unlike ``hash``, which ``PYTHONHASHSEED``
+randomizes).  A trial
 seeds ``random.Random(trial_seed)``, generates one instance, and runs its
 oracle, so any failure can be replayed in isolation::
 
@@ -16,7 +17,6 @@ tests assert.
 from __future__ import annotations
 
 import random
-import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -31,6 +31,7 @@ from ..obs import (
     scoped,
 )
 from ..obs.log import build_crash_report, crash_scope, write_crash_report
+from ..seeding import stream_seed
 from . import corpus, generators, oracles
 
 __all__ = [
@@ -150,7 +151,7 @@ ORACLES: Dict[str, Callable[[random.Random], List[str]]] = {
 # ----------------------------------------------------------------------
 def trial_seed(base_seed: int, oracle: str, trial: int) -> int:
     """Stable 32-bit per-trial seed (replayable across processes)."""
-    return zlib.crc32(f"{oracle}:{base_seed}:{trial}".encode())
+    return stream_seed(oracle, base_seed, trial)
 
 
 def run_trial(oracle: str, seed: int) -> List[str]:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from typing import Callable, List, Optional, Sequence
 
-from ..cloud.events import EventKind
+from ..cloud.events import EventKind, running_sum
 from ..cloud.executor import (
     ExecutionPolicy,
     ExecutionResult,
@@ -57,6 +57,7 @@ from ..eda.truthtables import var_table
 from ..netlist.aig import AIG, lit_is_complemented, lit_node
 from ..parallel.scheduler import ScheduleResult, list_schedule
 from ..parallel.taskgraph import TaskGraph
+from ..seeding import stream_seed
 
 __all__ = [
     "mckp_violations",
@@ -465,8 +466,8 @@ def execution_violations(
                 f"fallback cap {cap}"
             )
 
-    # Billing: one source of truth, three views of it.
-    segment_cost = sum(s.cost for s in result.segments)
+    # Billing: the total and the trace must both reproduce the segments.
+    segment_cost = running_sum(s.cost for s in result.segments)
     if not _close(result.total_cost, segment_cost):
         out.append(
             f"billing: total cost {result.total_cost!r} != sum of billed "
@@ -534,8 +535,6 @@ def convergence_violations(
     to land within ``rel_tol`` of the closed form, and no completion may
     beat the nominal runtime.
     """
-    import zlib
-
     out: List[str] = []
     times = simulate(
         runtime_seconds,
@@ -568,7 +567,7 @@ def convergence_violations(
         abs(mean - expected) > 0.6 * rel_tol * expected
         and len(times) < 8 * trials
     ):
-        extend_seed = zlib.crc32(f"extend:{seed}:{batches}".encode())
+        extend_seed = stream_seed("extend", seed, batches)
         times.extend(
             simulate(
                 runtime_seconds,
@@ -739,9 +738,9 @@ def service_violations(requests: Sequence, workers: int, depth: int) -> List[str
       released and no worker is active (the no-leak invariant);
     * **per-job billing** — for every executed job, the
       ``executor.billed_seconds`` / ``executor.billed_cost`` counters in
-      the job's *own* scoped registry equal the job result's trace
-      totals exactly (``==``, not approximately): two independent
-      recording paths, per job, under concurrency;
+      the job's *own* scoped registry equal the job result's billed
+      totals exactly (``==``, not approximately): two recording paths,
+      per job, under concurrency;
     * **replay determinism** — a second session from the same requests
       produces the identical completion order and byte-identical
       session log;
@@ -792,17 +791,17 @@ def service_violations(requests: Sequence, workers: int, depth: int) -> List[str
             result = result.get("execution") or {}
         if result.get("feasible") is False:
             result = {}
-        trace_seconds = result.get("billed_seconds", 0.0)
-        trace_cost = result.get("billed_cost", 0.0)
-        if billed_seconds != trace_seconds:
+        result_seconds = result.get("billed_seconds", 0.0)
+        result_cost = result.get("billed_cost", 0.0)
+        if billed_seconds != result_seconds:
             out.append(
                 f"service: {job.job_id} billed-seconds counter "
-                f"{billed_seconds!r} != trace total {trace_seconds!r}"
+                f"{billed_seconds!r} != result total {result_seconds!r}"
             )
-        if billed_cost != trace_cost:
+        if billed_cost != result_cost:
             out.append(
                 f"service: {job.job_id} billed-cost counter "
-                f"{billed_cost!r} != trace total {trace_cost!r}"
+                f"{billed_cost!r} != result total {result_cost!r}"
             )
 
     second = run_session(requests, config)
@@ -929,7 +928,7 @@ def chaos_scenario_violations(
         prev_time, prev_cost = b.time_overrun, b.cost_overrun
 
     for label, res in (("run", result.execution), ("baseline", result.baseline)):
-        seg_sum = sum(seg.cost for seg in res.segments)
+        seg_sum = running_sum(seg.cost for seg in res.segments)
         if not (res.total_cost == seg_sum == res.trace.billed_cost):
             out.append(
                 f"scenario: {name} severity={severity!r} seed={seed} "

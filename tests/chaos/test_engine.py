@@ -16,7 +16,7 @@ from repro.chaos import (
     degradation_bound,
 )
 from repro.chaos.scenarios import SCENARIOS, _build_workload, _placement
-from repro.cloud.events import EventKind
+from repro.cloud.events import EventKind, running_sum
 from repro.cloud.executor import ExecutionPolicy, PlanExecutor
 from repro.cloud.faults import FaultProfile
 
@@ -83,8 +83,8 @@ def test_az_reclaim_triggers_failover_transfer_and_consistent_billing():
             plan, deadline_seconds=deadline, seed=seed, stage_options=menu
         )
         trace = result.trace
-        # Billing is one number seen three ways, exactly.
-        assert result.total_cost == sum(s.cost for s in result.segments)
+        # The segment record, its total and the trace agree exactly.
+        assert result.total_cost == running_sum(s.cost for s in result.segments)
         assert result.total_cost == trace.billed_cost
         if trace.count(EventKind.AZ_RECLAIM):
             struck += 1

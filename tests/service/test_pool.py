@@ -201,3 +201,5 @@ class TestDrainAndShutdown:
             EDAService(ServiceConfig(workers=0), runner=churn_runner)
         with pytest.raises(ValueError):
             EDAService(ServiceConfig(mode="fibers"), runner=churn_runner)
+        with pytest.raises(ValueError):
+            EDAService(ServiceConfig(mode="thread"), runner=churn_runner)

@@ -287,10 +287,15 @@ class TestExecutionOracle:
         )
 
     def test_catches_billing_lie(self):
+        import dataclasses
+
         plan, deadline, profile, policy, result = self._case_and_result()
-        result.total_cost *= 1.5
+        segments = result.stage_records[0].segments
+        segments[0] = dataclasses.replace(
+            segments[0], cost=segments[0].cost * 1.5
+        )
         violations = self._audit(plan, deadline, profile, policy, result)
-        assert any("sum of billed segments" in v for v in violations)
+        assert any("trace billed cost" in v for v in violations)
 
     def test_catches_causality_violation(self):
         """Tampered trace where stage 2 starts before stage 1 commits."""
