@@ -12,8 +12,11 @@ zero is bit-identical to the fault-free executor, and
 :func:`degradation_bound` prices the hard worst case anywhere above it.
 
 Named suites (:data:`SCENARIOS`) package workload + spec + service
-storm; ``repro chaos --scenario`` runs them and ``repro verify
---oracle scenario`` fuzzes the graceful-degradation guarantees.
+storm: :func:`plan_evictions` picks the storm-struck jobs and the
+service's own :func:`~repro.service.api.run_session` evicts and
+requeues them.  ``repro chaos --scenario`` runs the suites and
+``repro verify --oracle scenario`` fuzzes the graceful-degradation
+guarantees.
 """
 
 from .engine import ChaosPlanExecutor, DegradationBound, degradation_bound
@@ -26,7 +29,7 @@ from .scenarios import (
     scenario_names,
     scenario_to_run,
 )
-from .session import StormSessionResult, plan_evictions, run_storm_session
+from .session import plan_evictions
 from .topology import CloudTopology, Region, default_topology
 
 __all__ = [
@@ -44,7 +47,5 @@ __all__ = [
     "scenario_names",
     "run_scenario",
     "scenario_to_run",
-    "StormSessionResult",
     "plan_evictions",
-    "run_storm_session",
 ]

@@ -35,10 +35,16 @@ from ..cloud.tenancy import NeighborLoad
 from ..eda.job import EDAStage
 from ..obs.store import RunRecord
 from ..seeding import stream_seed
-from ..service.api import ServiceConfig, seeded_job_mix
+from ..service.api import (
+    ServiceConfig,
+    SessionResult,
+    run_session,
+    seeded_job_mix,
+    session_log,
+)
 from .engine import ChaosPlanExecutor, DegradationBound, degradation_bound
 from .processes import ChaosSpec
-from .session import StormSessionResult, plan_evictions, run_storm_session
+from .session import plan_evictions
 from .topology import CloudTopology, default_topology
 
 __all__ = [
@@ -210,7 +216,7 @@ class ScenarioResult:
     execution: ExecutionResult
     baseline: ExecutionResult
     bound: DegradationBound
-    storm: StormSessionResult
+    storm: SessionResult
     deadline_seconds: float
 
     @property
@@ -255,7 +261,7 @@ class ScenarioResult:
             self.baseline.trace.to_jsonl(),
             "# service",
         ]
-        lines.extend(self.storm.log_lines())
+        lines.extend(session_log(self.storm.service))
         lines.append(
             f"# verdict completed={self.execution.completed} "
             f"time_overrun={self.time_overrun!r} "
@@ -335,8 +341,8 @@ def run_scenario(
     evictions = plan_evictions(
         requests, scenario.spec, severity, topology, seed
     )
-    storm = run_storm_session(
-        requests, evictions, config=ServiceConfig(workers=2)
+    storm = run_session(
+        requests, config=ServiceConfig(workers=2), evict=evictions
     )
     return ScenarioResult(
         scenario=scenario,

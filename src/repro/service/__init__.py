@@ -17,8 +17,8 @@ framework-free, stdlib-asyncio service:
 * :mod:`repro.service.runners` — job kinds mapped onto the pipeline,
   with a memoized characterization flow,
 * :mod:`repro.service.api`     — the in-process request API
-  (submit/status/cancel), the synchronous session driver the CLI uses,
-  and the byte-stable session log,
+  (submit/status/cancel/evict), the one synchronous session driver
+  (CLI, chaos storms, benchmark), and the byte-stable session log,
 * :mod:`repro.service.sweep`   — the deterministic concurrency sweep
   that locates the throughput knee for the bench gate.
 

@@ -3,18 +3,25 @@
 :class:`EDAService` wires the pieces together — admission controller in
 front of the priority queue, the asyncio worker pool behind it, a
 dedicated tracer/registry pair so every request is span-wrapped and
-every rejection counted.  ``submit``/``status``/``cancel`` are plain
-synchronous methods (they never block); only *running* the pool needs an
-event loop, so tests can drive scheduling explicitly while the CLI uses
-:func:`run_session`.
+every rejection counted.  ``submit``/``status``/``cancel``/``evict`` are
+plain synchronous methods (they never block); only *running* the pool
+needs an event loop, so tests can drive scheduling explicitly while the
+CLI, the chaos scenarios and the benchmark use :func:`run_session`.
 
-Determinism contract (``deterministic=True``, the default): the service
-clock is a shared :class:`~repro.obs.spans.TickClock`, the pool runs
-``inline``, and :func:`run_session` admits the whole request list before
-the first worker step runs — so for one seed the admission outcomes, the
-completion order, the per-job billing totals, and the byte-level
-:func:`session_log` are all identical across runs.  That is the
-acceptance property the 100-job regression test replays twice.
+:func:`run_session` is the one session driver.  It admits the whole
+request list, applies client cancels and external evictions (``evict``
+marks a struck job right after admission, so its first checkpoint
+raises :class:`~repro.service.errors.JobEvicted` mid-run), waits for
+the service to go idle so evicted jobs can requeue, then drains.
+
+Determinism contract: the service clock is a shared
+:class:`~repro.obs.spans.TickClock`, the pool runs ``inline``, and
+:func:`run_session` admits the whole request list before the first
+worker step runs — so for one seed the admission outcomes, the
+completion order, the per-job billing totals, evictions and requeues,
+and the byte-level :func:`session_log` are all identical across runs.
+That is the acceptance property the 100-job regression test replays
+twice, and the session-log golden pins by value.
 
 Nothing here reads wall-clock time; timestamps enter only at the CLI
 boundary (``repro serve`` stamps the run-store records it persists).
@@ -54,7 +61,9 @@ class ServiceConfig:
     ``rate_capacity=None`` disables per-client rate limiting entirely;
     otherwise each client gets a token bucket with that burst capacity,
     refilled at ``rate_refill_per_second`` on the service clock.
-    ``mode`` must be ``"inline"``, the pool's only execution mode.
+    ``mode`` must be ``"inline"``, the pool's only execution mode, and
+    ``deterministic`` must be ``True``: the service runs only on a tick
+    clock.
     """
 
     workers: int = 2
@@ -74,6 +83,8 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.mode != "inline":
             raise ValueError(f"unknown pool mode {self.mode!r}")
+        if self.deterministic is not True:
+            raise ValueError("the service runs only deterministically")
 
 
 class EDAService:
@@ -85,16 +96,12 @@ class EDAService:
         runner: Optional[Callable[[Job, JobContext], dict]] = None,
     ):
         self.config = config if config is not None else ServiceConfig()
-        self.clock: Callable[[], float] = (
-            TickClock() if self.config.deterministic else _monotonic()
-        )
+        self.clock = TickClock()
         # The tracer shares the service clock: job history edges and span
         # boundaries interleave on one timeline, which is what makes the
         # critical-path attribution in repro.obs.attrib exact (bucket
         # sums equal end-to-end durations bit-for-bit under tick clocks).
-        self.tracer = Tracer(
-            clock=self.clock, deterministic=self.config.deterministic
-        )
+        self.tracer = Tracer(clock=self.clock, deterministic=True)
         self.registry = MetricsRegistry()
         self.queue = JobQueue(depth=self.config.queue_depth)
         limiter = (
@@ -177,22 +184,7 @@ class EDAService:
         checkpoint; terminal jobs raise
         :class:`~repro.service.errors.NotCancellableError`.
         """
-        job = self.jobs.get(job_id)
-        if job is None:
-            raise JobNotFoundError(f"no such job: {job_id}", job_id=job_id)
-        if job.terminal:
-            raise NotCancellableError(
-                f"job {job_id} is already {job.state.value}",
-                job_id=job_id,
-                state=job.state.value,
-            )
-        job.cancel_requested = True
-        if job.state is JobState.QUEUED:
-            # Never reaches a worker: the queue drops it lazily at pop.
-            job.transition(JobState.CANCELLED, self.clock())
-            self._on_terminal(job)
-        self.registry.counter("service.cancel_requests").inc()
-        return job.to_public_dict()
+        return self._stop(job_id, eviction=None)
 
     def evict(self, job_id: str, reason: str = "external") -> dict:
         """Cancel a job because something *outside* the service took its
@@ -205,21 +197,7 @@ class EDAService:
         and the budget allows — a fresh incarnation of the request is
         admitted automatically.
         """
-        job = self.jobs.get(job_id)
-        if job is None:
-            raise JobNotFoundError(f"no such job: {job_id}", job_id=job_id)
-        if job.terminal:
-            raise NotCancellableError(
-                f"job {job_id} is already {job.state.value}",
-                job_id=job_id,
-                state=job.state.value,
-            )
-        job.external_cancel = reason
-        if job.state is JobState.QUEUED:
-            job.transition(JobState.CANCELLED, self.clock())
-            self._on_terminal(job)
-        self.registry.counter("service.evictions").inc()
-        return job.to_public_dict()
+        return self._stop(job_id, eviction=reason)
 
     # -- lifecycle --------------------------------------------------------
 
@@ -245,21 +223,23 @@ class EDAService:
 
     @property
     def all_terminal(self) -> bool:
-        return all(job.terminal for job in self.jobs.values())
+        # Every job enters terminal_order exactly once, when it goes
+        # terminal, so the lengths agree only when nothing is in flight.
+        return len(self.terminal_order) == len(self.jobs)
 
     def records(self, timestamp_utc: str) -> List[RunRecord]:
         """Run-store records: one per terminal job plus a session record.
 
         ``timestamp_utc`` is stamped by the caller (the CLI boundary) —
-        the service itself never reads wall-clock time.  Under the
-        deterministic configuration each job record also carries its
-        exact latency attribution (``labels["attrib"]``), and the session
+        the service itself never reads wall-clock time.  While the tracer
+        is enabled each job record also carries its exact latency
+        attribution (``labels["attrib"]``), and the session
         record's metrics gain labeled latency/attribution histograms —
         computed into a *fresh* registry each call so ``records()`` stays
         idempotent.
         """
         attribs = {}
-        if self.config.deterministic and self.tracer.enabled:
+        if self.tracer.enabled:
             attribs = {a.job_id: a for a in attribute_session(self)}
         out = [
             job_to_run(
@@ -316,6 +296,32 @@ class EDAService:
         return out
 
     # -- internals --------------------------------------------------------
+
+    def _stop(self, job_id: str, eviction: Optional[str]) -> dict:
+        """Shared body of :meth:`cancel` (``eviction=None``) and
+        :meth:`evict`: flag the job, and finish it now if still queued."""
+        job = self.jobs.get(job_id)
+        if job is None:
+            raise JobNotFoundError(f"no such job: {job_id}", job_id=job_id)
+        if job.terminal:
+            raise NotCancellableError(
+                f"job {job_id} is already {job.state.value}",
+                job_id=job_id,
+                state=job.state.value,
+            )
+        if eviction is None:
+            job.cancel_requested = True
+        else:
+            job.external_cancel = eviction
+        if job.state is JobState.QUEUED:
+            # Never reaches a worker: the queue drops it lazily at pop.
+            self.queue.cancel(job, self.clock())
+            self._on_terminal(job)
+        self.registry.counter(
+            "service.cancel_requests" if eviction is None
+            else "service.evictions"
+        ).inc()
+        return job.to_public_dict()
 
     def _traced_runner(self, job: Job, ctx: JobContext) -> dict:
         # The pool has already bound job.trace_id on this thread, so this
@@ -383,12 +389,6 @@ class EDAService:
         return True
 
 
-def _monotonic() -> Callable[[], float]:
-    import time
-
-    return time.monotonic
-
-
 # -- session driver -------------------------------------------------------
 
 
@@ -411,16 +411,18 @@ class SessionResult:
     def completion_order(self) -> List[str]:
         return list(self.service.terminal_order)
 
-    def billing_totals(self) -> Dict[str, Dict[str, float]]:
-        """Per-job billed seconds/cost from the per-job registries."""
-        out: Dict[str, Dict[str, float]] = {}
-        for job_id in self.service.terminal_order:
-            counters = self.service.jobs[job_id].metrics.get("counters", {})
-            out[job_id] = {
-                "billed_seconds": counters.get("executor.billed_seconds", 0.0),
-                "billed_cost": counters.get("executor.billed_cost", 0.0),
-            }
-        return out
+    @property
+    def evictions(self) -> Dict[str, str]:
+        """Job id -> reason for every job an external event evicted."""
+        return _evictions(self.service)
+
+
+def _evictions(service: EDAService) -> Dict[str, str]:
+    return {
+        job.job_id: job.external_cancel
+        for job in service.jobs.values()
+        if job.external_cancel is not None
+    }
 
 
 def run_session(
@@ -428,16 +430,24 @@ def run_session(
     config: Optional[ServiceConfig] = None,
     runner: Optional[Callable[[Job, JobContext], dict]] = None,
     cancel: Optional[Dict[int, int]] = None,
+    evict: Optional[Dict[int, str]] = None,
 ) -> SessionResult:
     """Drive one complete service session synchronously.
 
     Every request is submitted before the first worker step runs (the
-    submit loop never awaits), so with ``deterministic=True`` the whole
-    session is a pure function of ``requests`` and the request seeds.
+    submit loop never awaits), so the whole session is a pure function
+    of ``requests``, the request seeds, ``cancel`` and ``evict``.
     ``cancel`` maps *submission index -> number of completed jobs to
     wait for* before cancelling that job (0 = cancel while queued).
+    ``evict`` maps *submission index -> reason*: the admitted job is
+    marked ``external_cancel`` at once, so it is evicted at its first
+    in-run checkpoint (it still gets a worker) and, budget allowing,
+    requeued under a fresh job id that is never struck.  The driver
+    waits for the service to go idle before draining, because requeues
+    are refused while draining.
     """
     service = EDAService(config=config, runner=runner)
+    evict = evict or {}
 
     async def _drive() -> List[dict]:
         service.start()
@@ -446,10 +456,13 @@ def run_session(
         for index, request in enumerate(requests):
             try:
                 doc = service.submit(request)
-                job_ids[index] = doc["job_id"]
-                outcomes.append({"accepted": True, "job_id": doc["job_id"]})
             except ServiceError as exc:
                 outcomes.append({"accepted": False, **exc.to_response()})
+                continue
+            job_ids[index] = doc["job_id"]
+            if index in evict:
+                service.jobs[doc["job_id"]].external_cancel = evict[index]
+            outcomes.append({"accepted": True, "job_id": doc["job_id"]})
         for index, after in sorted((cancel or {}).items()):
             job_id = job_ids.get(index)
             if job_id is None:
@@ -460,6 +473,7 @@ def run_session(
                 service.cancel(job_id)
             except (NotCancellableError, JobNotFoundError):
                 pass
+        await service.join()
         await service.drain()
         return outcomes
 
@@ -471,8 +485,10 @@ def session_log(service: EDAService) -> List[str]:
     """Byte-stable per-job log lines in completion order.
 
     One line per terminal job — id, priority, client, kind, state,
-    worker slot, billed totals — exactly reproducible for one seed; the
-    CI smoke job diffs two same-seed runs of this log.
+    worker slot, billed totals — then one ``evicted`` line per evicted
+    job, by job id, naming the incarnation that replaced it.  Exactly
+    reproducible for one seed; the CI smoke job diffs two same-seed
+    runs of this log and the session-log golden pins it by value.
     """
     lines: List[str] = []
     for job_id in service.terminal_order:
@@ -484,6 +500,17 @@ def session_log(service: EDAService) -> List[str]:
             f"state={job.state.value} worker={job.worker} "
             f"billed_seconds={counters.get('executor.billed_seconds', 0.0):.6f} "
             f"billed_cost={counters.get('executor.billed_cost', 0.0):.6f}"
+        )
+    evictions = _evictions(service)
+    requeued_as = {
+        job.requeue_of: job.job_id
+        for job in service.jobs.values()
+        if job.requeue_of is not None
+    }
+    for job_id in sorted(evictions):
+        lines.append(
+            f"evicted {job_id} reason={evictions[job_id]} "
+            f"requeued_as={requeued_as.get(job_id, 'none')}"
         )
     return lines
 

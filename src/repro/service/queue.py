@@ -17,9 +17,13 @@ created:
 * :class:`~repro.service.errors.ServiceDrainingError` (503) once the
   service began draining.
 
-The token bucket is clock-injected: production uses a monotonic clock,
-deterministic sessions a tick clock, tests a manual clock — refill
-arithmetic is identical everywhere.
+The queue alone decides what "queued" means: it keeps the count of
+undelivered jobs, and :meth:`JobQueue.cancel` is the only way a job
+leaves ``queued`` without being popped.  Nothing outside it scans the
+heap to count.
+
+The token bucket is clock-injected: service sessions use a tick clock,
+tests a manual clock — refill arithmetic is identical everywhere.
 """
 
 from __future__ import annotations
@@ -83,10 +87,11 @@ class TokenBucket:
 class JobQueue:
     """Bounded max-priority queue with deterministic FIFO tie-breaking.
 
-    ``depth`` bounds the number of *undelivered* jobs; jobs cancelled
-    while queued are discarded lazily at ``pop`` time and stop counting
-    toward the bound immediately (``__len__`` skips them), so a
-    cancelled backlog can never wedge admission.
+    ``depth`` bounds the number of *undelivered* jobs.  The queue owns
+    that count: ``push`` raises it, and ``pop`` and :meth:`cancel` lower
+    it, so ``__len__`` is O(1).  A job cancelled while queued stops
+    counting toward the bound at once (a cancelled backlog can never
+    wedge admission); its heap entry is discarded lazily at ``pop``.
     """
 
     def __init__(self, depth: int):
@@ -94,17 +99,14 @@ class JobQueue:
             raise ValueError("queue depth must be >= 1")
         self.depth = depth
         self._heap: List[Tuple[int, int, Job]] = []
+        self._queued = 0
 
     def __len__(self) -> int:
-        return sum(
-            1
-            for _, _, job in self._heap
-            if job.state is JobState.QUEUED
-        )
+        return self._queued
 
     @property
     def full(self) -> bool:
-        return len(self) >= self.depth
+        return self._queued >= self.depth
 
     def push(self, job: Job) -> None:
         """Enqueue an admitted job; raises :class:`QueueFullError`."""
@@ -114,6 +116,7 @@ class JobQueue:
                 depth=self.depth,
             )
         heapq.heappush(self._heap, (-job.request.priority, job.seq, job))
+        self._queued += 1
 
     def pop(self) -> Optional[Job]:
         """Highest-priority, earliest-admitted live job; ``None`` if empty.
@@ -123,8 +126,21 @@ class JobQueue:
         while self._heap:
             _, _, job = heapq.heappop(self._heap)
             if job.state is JobState.QUEUED:
+                self._queued -= 1
                 return job
         return None
+
+    def cancel(self, job: Job, now: float) -> None:
+        """Cancel a job still waiting in the queue, at service time ``now``.
+
+        The only way a job leaves ``queued`` without being popped.
+        """
+        if job.state is not JobState.QUEUED:
+            raise ValueError(
+                f"job {job.job_id} is {job.state.value}, not queued"
+            )
+        job.transition(JobState.CANCELLED, now)
+        self._queued -= 1
 
     def snapshot(self) -> List[str]:
         """Job ids in exact delivery order (non-destructive, for tests)."""

@@ -18,6 +18,8 @@ from repro.service import (
     session_log,
 )
 
+from .test_billing import billing_totals
+
 
 def sleepy(priority=0, client="default", steps=0):
     return JobRequest(
@@ -188,7 +190,7 @@ class TestSessionDeterminism:
             runs.append(
                 (
                     result.completion_order,
-                    result.billing_totals(),
+                    billing_totals(result),
                     session_log(result.service),
                     [j.state.value for j in result.service.jobs.values()],
                 )

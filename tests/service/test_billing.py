@@ -17,6 +17,19 @@ from repro.service import (
 )
 
 
+def billing_totals(result):
+    """Per-job billed seconds/cost from the per-job registries, in
+    completion order."""
+    out = {}
+    for job_id in result.completion_order:
+        counters = result.service.jobs[job_id].metrics.get("counters", {})
+        out[job_id] = {
+            "billed_seconds": counters.get("executor.billed_seconds", 0.0),
+            "billed_cost": counters.get("executor.billed_cost", 0.0),
+        }
+    return out
+
+
 def execute_request(i, priority):
     return JobRequest(
         kind="execute",
@@ -58,7 +71,7 @@ class TestPerJobBillingExactness:
         result = run_session(
             requests, ServiceConfig(workers=2, queue_depth=8)
         )
-        totals = result.billing_totals()
+        totals = billing_totals(result)
         assert set(totals) == set(result.service.jobs)
         summed = sum(t["billed_cost"] for t in totals.values())
         per_job = sum(
@@ -76,7 +89,7 @@ class TestPerJobBillingExactness:
         result = run_session(
             requests, ServiceConfig(workers=1, queue_depth=8)
         )
-        for job_id, totals in result.billing_totals().items():
+        for job_id, totals in billing_totals(result).items():
             assert totals == {
                 "billed_seconds": 0.0, "billed_cost": 0.0
             }, job_id
@@ -95,7 +108,7 @@ class TestSeededReplays:
             runs.append(
                 (
                     result.completion_order,
-                    result.billing_totals(),
+                    billing_totals(result),
                     "\n".join(session_log(result.service)),
                 )
             )

@@ -137,6 +137,7 @@ class TestSlotRelease:
         assert ran == jobs - len(cancel)
         assert all(job.terminal for job in service.jobs.values())
         assert len(service.terminal_order) == jobs
+        assert sorted(service.terminal_order) == sorted(service.jobs)
         assert service.all_terminal
 
     def test_worker_indices_are_recorded(self):
@@ -203,3 +204,5 @@ class TestDrainAndShutdown:
             EDAService(ServiceConfig(mode="fibers"), runner=churn_runner)
         with pytest.raises(ValueError):
             EDAService(ServiceConfig(mode="thread"), runner=churn_runner)
+        with pytest.raises(ValueError):
+            ServiceConfig(deterministic=False)

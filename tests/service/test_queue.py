@@ -127,7 +127,7 @@ class TestJobQueue:
         victim = make_job(0)
         queue.push(victim)
         queue.push(make_job(1))
-        victim.transition(JobState.CANCELLED, 0.0)
+        queue.cancel(victim, 0.0)
         assert len(queue) == 1
         assert not queue.full
         queue.push(make_job(2))  # must not raise
@@ -137,9 +137,19 @@ class TestJobQueue:
         victim, survivor = make_job(0), make_job(1)
         queue.push(victim)
         queue.push(survivor)
-        victim.transition(JobState.CANCELLED, 0.0)
+        queue.cancel(victim, 0.0)
         assert queue.pop() is survivor
         assert queue.pop() is None
+
+    def test_cancel_rejects_a_job_that_left_the_queue(self):
+        queue = JobQueue(depth=4)
+        job = make_job(0)
+        queue.push(job)
+        assert queue.pop() is job
+        job.transition(JobState.RUNNING, 0.0)  # as the pool does
+        with pytest.raises(ValueError):
+            queue.cancel(job, 0.0)
+        assert len(queue) == 0
 
     def test_depth_must_be_positive(self):
         with pytest.raises(ValueError):
