@@ -159,38 +159,33 @@ class GlobalRouter:
         else:
             capacity = self.capacity
 
-        # Edge usage/history: horizontal edges (x,y)->(x+1,y), vertical
-        # (x,y)->(x,y+1), stored as flat numpy arrays.
-        h_usage = np.zeros((width - 1) * height, dtype=np.int32)
-        v_usage = np.zeros(width * (height - 1), dtype=np.int32)
-        h_hist = np.zeros_like(h_usage, dtype=np.float64)
-        v_hist = np.zeros_like(v_usage, dtype=np.float64)
+        # One flat edge index space: horizontal edges (x,y)->(x+1,y) first,
+        # at y*(width-1)+x, then vertical edges (x,y)->(x,y+1), at
+        # n_h + y*width+x.  Usage and history are one numpy array each.
+        n_h = (width - 1) * height
+        n_v = width * (height - 1)
+        usage = np.zeros(n_h + n_v, dtype=np.int32)
+        hist = np.zeros(n_h + n_v, dtype=np.float64)
+        # Synthetic address of each edge's usage entry, for the cache model.
+        edge_addr = [(1 << 26) + 4 * i for i in range(n_h)]
+        edge_addr += [(1 << 26) + (1 << 25) + 4 * i for i in range(n_v)]
 
-        def h_index(x: int, y: int) -> int:
-            return y * (width - 1) + x
-
-        def v_index(x: int, y: int) -> int:
-            return y * width + x
-
-        def edge_of(a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[str, int]:
+        def edge_of(a: Tuple[int, int], b: Tuple[int, int]) -> int:
             if a[1] == b[1]:
-                return "h", h_index(min(a[0], b[0]), a[1])
-            return "v", v_index(a[0], min(a[1], b[1]))
+                return a[1] * (width - 1) + min(a[0], b[0])
+            return n_h + min(a[1], b[1]) * width + a[0]
+
+        def total_overflow() -> int:
+            return int(np.sum(np.maximum(0, usage - capacity)))
 
         # ---- per-segment A* maze search --------------------------------
+        # Cells are flat ids y*width+x; each neighbour carries the index
+        # of the edge that reaches it.
         rng = random.Random(self.seed)
         overflow_penalty = 8.0  # grows with iteration (pres-fac)
         heuristic_weight = 1.6
 
         pres_fac = overflow_penalty
-
-        def edge_cost(kind: str, idx: int) -> float:
-            if kind == "h":
-                usage, hist = h_usage[idx], h_hist[idx]
-            else:
-                usage, hist = v_usage[idx], v_hist[idx]
-            over = max(0, usage + 1 - capacity)
-            return 1.0 + hist + pres_fac * over
 
         def route_segment(
             seg: RouteSegment, margin: int, collect_events: bool
@@ -202,10 +197,12 @@ class GlobalRouter:
             x_hi = min(width - 1, max(sx, tx) + margin)
             y_lo = max(0, min(sy, ty) - margin)
             y_hi = min(height - 1, max(sy, ty) + margin)
-            best_cost: Dict[Tuple[int, int], float] = {(sx, sy): 0.0}
-            parent: Dict[Tuple[int, int], Tuple[int, int]] = {}
-            heap: List[Tuple[float, int, Tuple[int, int]]] = [
-                (heuristic_weight * (abs(sx - tx) + abs(sy - ty)), 0, (sx, sy))
+            source = sy * width + sx
+            target = ty * width + tx
+            best_cost: Dict[int, float] = {source: 0.0}
+            parent: Dict[int, int] = {}
+            heap: List[Tuple[float, int, int]] = [
+                (heuristic_weight * (abs(sx - tx) + abs(sy - ty)), 0, source)
             ]
             counter = 0
             expansions = 0
@@ -219,30 +216,36 @@ class GlobalRouter:
                 _f, _tie, cell = heapq.heappop(heap)
                 expansions += 1
                 if collect_events:
-                    addrs.append((cell[1] * width + cell[0]) * 16)
+                    addrs.append(cell * 16)
                     addrs.append(scratch + expansions * 16)
-                if cell == (tx, ty):
+                if cell == target:
                     found = True
                     break
-                cx, cy = cell
+                cy, cx = divmod(cell, width)
                 base = best_cost[cell]
-                for nx, ny in ((cx + 1, cy), (cx - 1, cy), (cx, cy + 1), (cx, cy - 1)):
+                h = cy * (width - 1) + cx
+                v = n_h + cell
+                for nx, ny, nbr, e in (
+                    (cx + 1, cy, cell + 1, h),
+                    (cx - 1, cy, cell - 1, h - 1),
+                    (cx, cy + 1, cell + width, v),
+                    (cx, cy - 1, cell - width, v - width),
+                ):
                     in_window = x_lo <= nx <= x_hi and y_lo <= ny <= y_hi
                     if collect_events:
                         branches.append(in_window)
                     if not in_window:
                         continue
-                    kind, idx = edge_of((cx, cy), (nx, ny))
-                    cost = base + edge_cost(kind, idx)
-                    better = cost < best_cost.get((nx, ny), float("inf"))
+                    cost = base + (
+                        1.0 + hist[e] + pres_fac * max(0, usage[e] + 1 - capacity)
+                    )
+                    better = cost < best_cost.get(nbr, math.inf)
                     if collect_events:
                         branches.append(better)
-                        addrs.append(
-                            (1 << 26) + idx * 4 + (0 if kind == "h" else (1 << 25))
-                        )
+                        addrs.append(edge_addr[e])
                     if better:
-                        best_cost[(nx, ny)] = cost
-                        parent[(nx, ny)] = (cx, cy)
+                        best_cost[nbr] = cost
+                        parent[nbr] = cell
                         counter += 1
                         heapq.heappush(
                             heap,
@@ -250,7 +253,7 @@ class GlobalRouter:
                                 cost
                                 + heuristic_weight * (abs(nx - tx) + abs(ny - ty)),
                                 counter,
-                                (nx, ny),
+                                nbr,
                             ),
                         )
             if collect_events:
@@ -259,20 +262,12 @@ class GlobalRouter:
                 branches.append(False)
             if not found:
                 return expansions, branches, addrs
-            path = [(tx, ty)]
-            while path[-1] != (sx, sy):
+            path = [target]
+            while path[-1] != source:
                 path.append(parent[path[-1]])
             path.reverse()
-            seg.path = path
+            seg.path = [(c % width, c // width) for c in path]
             return expansions, branches, addrs
-
-        def commit(seg: RouteSegment, sign: int) -> None:
-            for a, b in zip(seg.path, seg.path[1:]):
-                kind, idx = edge_of(a, b)
-                if kind == "h":
-                    h_usage[idx] += sign
-                else:
-                    v_usage[idx] += sign
 
         # ---- wave batching over disjoint search windows -------------------
         # Nets whose inflated search windows do not overlap route
@@ -280,30 +275,22 @@ class GlobalRouter:
         # routed in parallel with no conflict"); a serial commit barrier
         # separates waves.  Large nets additionally split into parallel
         # wavefront-expansion subtasks, as parallel maze routers do.
-        coarse = 1
-        cw = max(1, (width + coarse - 1) // coarse)
         # Routing-region tiling for the parallelism model: ~8 gcells per
         # region side, so the region count grows with design area.
         region_size = 5
         region_cols = max(1, (width + region_size - 1) // region_size)
 
-        def window_cells(seg: RouteSegment, margin: int) -> frozenset:
+        def window_cells(seg: RouteSegment) -> frozenset:
             # Conflict tracking uses the tight bbox: concurrent maze
             # searches only clash where paths can actually meet.
-            del margin
-            x_lo = max(0, min(seg.source[0], seg.target[0])) // coarse
-            x_hi = min(width - 1, max(seg.source[0], seg.target[0])) // coarse
-            y_lo = max(0, min(seg.source[1], seg.target[1])) // coarse
-            y_hi = min(height - 1, max(seg.source[1], seg.target[1])) // coarse
+            (sx, sy), (tx, ty) = seg.source, seg.target
             return frozenset(
-                yy * cw + xx
-                for xx in range(x_lo, x_hi + 1)
-                for yy in range(y_lo, y_hi + 1)
+                yy * width + xx
+                for xx in range(min(sx, tx), max(sx, tx) + 1)
+                for yy in range(min(sy, ty), max(sy, ty) + 1)
             )
 
-        def build_waves(
-            segs: Sequence[RouteSegment], margin: int
-        ) -> List[List[RouteSegment]]:
+        def build_waves(segs: Sequence[RouteSegment]) -> List[List[RouteSegment]]:
             waves: List[List[RouteSegment]] = []
             occupancy: List[set] = []
             # Shortest segments first: they pack densely into early waves;
@@ -316,7 +303,7 @@ class GlobalRouter:
                 ),
             )
             for seg in ordered:
-                cells = window_cells(seg, margin)
+                cells = window_cells(seg)
                 for wave_idx in range(len(waves)):
                     if not (occupancy[wave_idx] & cells):
                         waves[wave_idx].append(seg)
@@ -328,20 +315,16 @@ class GlobalRouter:
             return waves
 
         # Per-edge committed users, for targeted rip-up.
-        edge_users: Dict[Tuple[str, int], List[RouteSegment]] = {}
+        edge_users: Dict[int, List[RouteSegment]] = {}
 
         def commit(seg: RouteSegment, sign: int) -> None:
             for a, b in zip(seg.path, seg.path[1:]):
-                key = edge_of(a, b)
-                kind, idx = key
-                if kind == "h":
-                    h_usage[idx] += sign
-                else:
-                    v_usage[idx] += sign
+                e = edge_of(a, b)
+                usage[e] += sign
                 if sign > 0:
-                    edge_users.setdefault(key, []).append(seg)
+                    edge_users.setdefault(e, []).append(seg)
                 else:
-                    users = edge_users.get(key)
+                    users = edge_users.get(e)
                     if users and seg in users:
                         users.remove(seg)
 
@@ -359,7 +342,6 @@ class GlobalRouter:
         iteration = 0
         event_stride = max(1, len(segments) // 160)
         to_route: List[RouteSegment] = list(segments)
-        prev_barrier: Optional[int] = None
         # Work quantum for splitting big maze searches into parallel
         # subtasks (seconds of modelled single-core time).
         subtask_quantum = 220 * cal.route_sec_per_expansion
@@ -371,7 +353,7 @@ class GlobalRouter:
         for iteration in range(1, self.max_iterations + 1):
             margin = self.bbox_margin + min(2, iteration - 1)
             pres_fac = overflow_penalty * iteration
-            waves = build_waves(to_route, margin)
+            waves = build_waves(to_route)
             commit_work = 0.0
             counters_before = inst.snapshot()
             expansions_before = total_expansions
@@ -383,7 +365,7 @@ class GlobalRouter:
             with tracer.span("routing.iteration", iteration=iteration) as it_span:
                 for wave in waves:
                     wave_streams: List[List[int]] = []
-                    wave_updates: List[Tuple[frozenset, int]] = []
+                    wave_updates: List[Tuple[int, int]] = []
                     for si, seg in enumerate(wave):
                         collect = inst.enabled and (si % event_stride == 0)
                         expansions, branches, addrs = route_segment(
@@ -431,7 +413,7 @@ class GlobalRouter:
                             owner = graph.add_task(
                                 work=0.0, deps=piece_ids, name=f"merge:{seg.net}"
                             )
-                        wave_updates.append((frozenset([region]), owner))
+                        wave_updates.append((region, owner))
                         if seg.path:
                             commit(seg, +1)
                         if collect:
@@ -441,11 +423,10 @@ class GlobalRouter:
                                 weight=event_stride,
                             )
                             wave_streams.append(addrs)
-                    # Cell ownership updates happen at wave granularity, so
+                    # Region ownership updates happen at wave granularity, so
                     # same-wave (disjoint) segments never order each other.
-                    for cells, owner in wave_updates:
-                        for c in cells:
-                            last_task[c] = owner
+                    for region, owner in wave_updates:
+                        last_task[region] = owner
                     commit_work += len(wave) * cal.route_sec_per_net_order
                     if inst.enabled and wave_streams:
                         stream = _interleave(wave_streams, max(1, inst.concurrency))
@@ -456,7 +437,7 @@ class GlobalRouter:
                             extra = (
                                 (len(stream) // 12) * (inst.concurrency - 1) // 7
                             )
-                            pool = len(h_usage) + len(v_usage)
+                            pool = len(usage)
                             coh = rng.sample(range(pool), min(extra, pool))
                             stream.extend((3 << 26) + i * 64 for i in coh)
                         inst.mem(stream, reads_per_element=event_stride)
@@ -476,12 +457,7 @@ class GlobalRouter:
 
             # Overflow accounting and targeted rip-up: per overflowed edge,
             # rip exactly the excess users (shortest detours first).
-            over_h = h_usage > capacity
-            over_v = v_usage > capacity
-            overflow = int(
-                np.sum(np.maximum(0, h_usage - capacity))
-                + np.sum(np.maximum(0, v_usage - capacity))
-            )
+            overflow = total_overflow()
             it_span.set_tag("overflow", overflow)
             if overflow == 0 or iteration == self.max_iterations:
                 break
@@ -490,19 +466,16 @@ class GlobalRouter:
                 # further rip-up would thrash without converging.
                 break
             prev_overflow = overflow
-            h_hist[over_h] += 2.0
-            v_hist[over_v] += 2.0
+            over = usage > capacity
+            hist[over] += 2.0
             victims: List[RouteSegment] = []
             victim_ids = set()
             ripup_branches: List[bool] = []
-            over_edges = [("h", int(i)) for i in np.nonzero(over_h)[0]]
-            over_edges += [("v", int(i)) for i in np.nonzero(over_v)[0]]
-            for key in over_edges:
-                kind, idx = key
-                usage = int(h_usage[idx] if kind == "h" else v_usage[idx])
-                excess = usage - capacity
+            # Horizontal edges, then vertical, each in index order.
+            for e in np.nonzero(over)[0].tolist():
+                excess = int(usage[e]) - capacity
                 users = [
-                    u for u in edge_users.get(key, []) if id(u) not in victim_ids
+                    u for u in edge_users.get(e, []) if id(u) not in victim_ids
                 ]
                 users.sort(key=lambda s_: s_.wirelength)
                 for u in users:
@@ -523,10 +496,7 @@ class GlobalRouter:
                 ripups += 1
             to_route = victims
 
-        overflow = int(
-            np.sum(np.maximum(0, h_usage - capacity))
-            + np.sum(np.maximum(0, v_usage - capacity))
-        )
+        overflow = total_overflow()
         total_wl = sum(seg.wirelength for seg in segments)
         result = RoutingResult(
             grid_width=width,
