@@ -76,6 +76,7 @@ from .core.optimize import (
 from .core.report import render_figure2, render_table1
 from .eda import EDAStage, FlowRunner
 from .netlist import benchmarks
+from .parallel import PAPER_VCPU_LEVELS
 
 __all__ = ["main", "build_parser"]
 
@@ -101,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--vcpus",
         type=int,
         nargs="+",
-        default=[1, 2, 4, 8],
+        default=list(PAPER_VCPU_LEVELS),
         help="VM sizes to emulate",
     )
 

@@ -7,7 +7,7 @@ hosts.
 """
 
 from .instance import InstanceFamily, VMConfig
-from .pricing import PAPER_VCPU_OPTIONS, PricingTable, aws_like_catalog
+from .pricing import PricingTable, aws_like_catalog
 from .provisioner import (
     DeploymentPlan,
     RECOMMENDED_FAMILY,
@@ -35,7 +35,6 @@ from .executor import (
 __all__ = [
     "InstanceFamily",
     "VMConfig",
-    "PAPER_VCPU_OPTIONS",
     "PricingTable",
     "aws_like_catalog",
     "DeploymentPlan",

@@ -15,12 +15,10 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Iterable, List, Optional
 
+from ..parallel import PAPER_VCPU_LEVELS
 from .instance import InstanceFamily, VMConfig
 
-__all__ = ["PricingTable", "aws_like_catalog", "PAPER_VCPU_OPTIONS"]
-
-#: The VM sizes the paper evaluates for every stage.
-PAPER_VCPU_OPTIONS = (1, 2, 4, 8)
+__all__ = ["PricingTable", "aws_like_catalog"]
 
 #: Hourly rates fitted to Table I's effective per-stage rates (USD/h).
 _GENERAL_PURPOSE_RATES = {1: 0.0944, 2: 0.1244, 4: 0.1983, 8: 0.3973}
@@ -102,7 +100,7 @@ class PricingTable:
 def aws_like_catalog() -> PricingTable:
     """Build the default frozen catalog (see module docstring)."""
     configs: List[VMConfig] = []
-    for vcpus in PAPER_VCPU_OPTIONS:
+    for vcpus in PAPER_VCPU_LEVELS:
         suffix = _SIZE_SUFFIX[vcpus]
         configs.append(
             VMConfig(

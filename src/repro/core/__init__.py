@@ -12,7 +12,6 @@
 
 from .characterize import (
     CharacterizationReport,
-    DEFAULT_VCPU_LEVELS,
     StageCharacterization,
     characterize,
     recommend_family,
@@ -42,7 +41,6 @@ from . import experiments, persistence, report
 
 __all__ = [
     "CharacterizationReport",
-    "DEFAULT_VCPU_LEVELS",
     "StageCharacterization",
     "characterize",
     "recommend_family",

@@ -18,6 +18,7 @@ from ..eda.flow import FlowRunner
 from ..eda.job import EDAStage, JobResult
 from ..netlist import benchmarks
 from ..netlist.aig import AIG
+from ..parallel import PAPER_VCPU_LEVELS
 from ..perf import PerfCounters, make_instrument
 
 __all__ = [
@@ -25,10 +26,7 @@ __all__ = [
     "CharacterizationReport",
     "characterize",
     "recommend_family",
-    "DEFAULT_VCPU_LEVELS",
 ]
-
-DEFAULT_VCPU_LEVELS = (1, 2, 4, 8)
 
 #: Counter thresholds for the provisioning rules (fractions).
 CACHE_MISS_THRESHOLD = 0.20  # above this, the job is memory-hungry
@@ -171,7 +169,7 @@ class CharacterizationReport:
 def characterize(
     design: str | AIG = "sparc_core",
     scale: float = 1.5,
-    vcpu_levels: Sequence[int] = DEFAULT_VCPU_LEVELS,
+    vcpu_levels: Sequence[int] = PAPER_VCPU_LEVELS,
     sample_rate: int = 2,
     runner: Optional[FlowRunner] = None,
 ) -> CharacterizationReport:

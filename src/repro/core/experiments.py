@@ -19,6 +19,7 @@ from typing import Any, Dict, Optional, Sequence
 from ..eda.flow import FlowRunner
 from ..eda.job import EDAStage
 from ..netlist import benchmarks
+from ..parallel import PAPER_VCPU_LEVELS
 from .characterize import CharacterizationReport, characterize
 from .optimize import (
     build_stage_options,
@@ -72,7 +73,7 @@ def run_figure3(
         ("fpu", 1.0),
         ("sparc_core", 1.5),
     ),
-    vcpus: Sequence[int] = (1, 2, 4, 8),
+    vcpus: Sequence[int] = PAPER_VCPU_LEVELS,
 ) -> Dict[str, Any]:
     """Routing speedups per design (smallest to largest)."""
     runner = FlowRunner()

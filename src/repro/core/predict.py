@@ -36,6 +36,7 @@ from ..gnn import (
 from ..gnn.training import EvalResult, TrainResult
 from ..netlist import aig_to_graph, benchmarks, netlist_to_star_graph
 from ..netlist.stargraph import AIG_FEATURE_DIM, NETLIST_FEATURE_DIM
+from ..parallel import PAPER_VCPU_LEVELS
 
 __all__ = [
     "DatasetSpec",
@@ -44,8 +45,6 @@ __all__ = [
     "PredictorSuite",
     "train_predictors",
 ]
-
-PAPER_VCPUS = (1, 2, 4, 8)
 
 
 @dataclass(frozen=True)
@@ -104,7 +103,7 @@ def build_datasets(
             net_graph = netlist_to_star_graph(netlist)
             for stage in EDAStage.ordered():
                 result = flow[stage]
-                runtimes = np.array([result.runtime(v) for v in PAPER_VCPUS])
+                runtimes = np.array([result.runtime(v) for v in PAPER_VCPU_LEVELS])
                 graph = aig_graph if stage == EDAStage.SYNTHESIS else net_graph
                 datasets[stage].append(
                     RuntimeSample(
@@ -141,7 +140,7 @@ class StagePredictor:
         prepared = graph if isinstance(graph, PreparedGraph) else PreparedGraph(graph)
         log_pred = self.model.forward(prepared) * self.target_std + self.target_offset
         runtimes = np.exp(log_pred)
-        return dict(zip(PAPER_VCPUS, runtimes.tolist()))
+        return dict(zip(PAPER_VCPU_LEVELS, runtimes.tolist()))
 
     @property
     def accuracy(self) -> float:

@@ -19,7 +19,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from ..parallel import WorkProfile
+from ..parallel import PAPER_VCPU_LEVELS, WorkProfile
 from ..perf import PerfCounters
 
 __all__ = ["EDAStage", "JobResult"]
@@ -63,7 +63,7 @@ class JobResult:
         """Modelled wall-clock runtime in seconds on a ``vcpus``-wide VM."""
         return self.profile.runtime(vcpus)
 
-    def runtimes(self, vcpu_levels=(1, 2, 4, 8)) -> Dict[int, float]:
+    def runtimes(self, vcpu_levels=PAPER_VCPU_LEVELS) -> Dict[int, float]:
         """Runtime at each vCPU level (the paper's 1/2/4/8 grid)."""
         return {k: self.runtime(k) for k in vcpu_levels}
 

@@ -11,7 +11,7 @@
 from .dataset import RuntimeSample, log_targets, split_by_design, unlog_targets
 from .graph import PreparedGraph, normalized_adjacency, prepare
 from .layers import DenseLayer, GCNLayer, Parameter, Readout
-from .model import OUTPUT_VCPUS, RuntimeGCN
+from .model import RuntimeGCN
 from .optim import Adam, SGD
 from .training import EvalResult, TrainConfig, TrainResult, evaluate, train
 
@@ -27,7 +27,6 @@ __all__ = [
     "GCNLayer",
     "Parameter",
     "Readout",
-    "OUTPUT_VCPUS",
     "RuntimeGCN",
     "Adam",
     "SGD",

@@ -21,13 +21,11 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..parallel import PAPER_VCPU_LEVELS
 from .graph import PreparedGraph
 from .layers import DenseLayer, GCNLayer, Parameter, Readout
 
 __all__ = ["RuntimeGCN"]
-
-#: vCPU levels whose runtimes the model predicts, in output order.
-OUTPUT_VCPUS = (1, 2, 4, 8)
 
 
 class RuntimeGCN:
@@ -52,7 +50,7 @@ class RuntimeGCN:
         hidden1: int = 256,
         hidden2: int = 128,
         fc_units: int = 128,
-        outputs: int = len(OUTPUT_VCPUS),
+        outputs: int = len(PAPER_VCPU_LEVELS),
         pool: str = "mean",
         seed: int = 0,
     ):

@@ -42,6 +42,7 @@ from ..gnn.model import RuntimeGCN
 from ..gnn.training import TrainConfig, train
 from ..netlist import benchmarks
 from ..netlist.stargraph import aig_to_graph
+from ..parallel import PAPER_VCPU_LEVELS
 from . import scoped
 from .export import structural_tree
 from .log import Logger
@@ -63,9 +64,6 @@ __all__ = [
 
 #: Schema tag stamped into every ``BENCH_*.json``.
 BENCH_SCHEMA = "repro-bench/1"
-
-#: vCPU grid the flow's modelled runtimes are recorded at (paper's grid).
-VCPU_LEVELS = (1, 2, 4, 8)
 
 #: Ignore timing deltas below this many seconds (noise floor).
 ABS_GUARD_SECONDS = 0.02
@@ -205,17 +203,17 @@ def run_bench(
             aig = benchmarks.build(design, scale)
             flow = runner.run(aig, seed=seed)
             for stage, result in flow.stages.items():
-                for vcpus in VCPU_LEVELS:
+                for vcpus in PAPER_VCPU_LEVELS:
                     registry.gauge(
                         f"flow.runtime_seconds.{stage.value}.{vcpus}v"
                     ).set(result.runtime(vcpus))
                 # Where adding vCPUs stops paying for this stage — same
                 # knee definition the service concurrency sweep uses.
                 speedups = [
-                    result.runtime(VCPU_LEVELS[0]) / result.runtime(v)
-                    for v in VCPU_LEVELS
+                    result.runtime(PAPER_VCPU_LEVELS[0]) / result.runtime(v)
+                    for v in PAPER_VCPU_LEVELS
                 ]
-                knee = detect_knee(VCPU_LEVELS, speedups)
+                knee = detect_knee(PAPER_VCPU_LEVELS, speedups)
                 if knee is not None:
                     registry.gauge(
                         f"bench.flow.scaling_knee_vcpus.{stage.value}"
@@ -240,7 +238,7 @@ def run_bench(
             synth = flow.stages[EDAStage.SYNTHESIS]
             sample = RuntimeSample(
                 graph=aig_to_graph(aig),
-                runtimes=[synth.runtime(v) for v in VCPU_LEVELS],
+                runtimes=[synth.runtime(v) for v in PAPER_VCPU_LEVELS],
                 design=design,
             )
             model = RuntimeGCN(

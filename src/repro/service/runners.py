@@ -35,9 +35,9 @@ from ..cloud.executor import ExecutionPolicy, PlanExecutor
 from ..cloud.faults import FaultProfile
 from ..core.optimize import Selection, build_stage_options, solve_mckp_dp
 from ..eda.flow import FlowResult, FlowRunner
+from ..eda.job import EDAStage
 from ..netlist import benchmarks
 from ..obs import get_metrics
-from ..obs.bench import VCPU_LEVELS
 from .errors import InvalidRequestError
 from .jobs import Job, JobContext
 
@@ -51,13 +51,11 @@ class PipelineRunner:
         self,
         fault_profile: Optional[FaultProfile] = None,
         policy: Optional[ExecutionPolicy] = None,
-        cache_flows: bool = True,
     ):
         self.fault_profile = (
             fault_profile if fault_profile is not None else FaultProfile.calm()
         )
         self.policy = policy if policy is not None else ExecutionPolicy()
-        self.cache_flows = cache_flows
         self._flow_cache: Dict[Tuple[str, float, int], FlowResult] = {}
 
     def __call__(self, job: Job, ctx: JobContext) -> dict:
@@ -79,33 +77,23 @@ class PipelineRunner:
     def _flow(self, job: Job) -> FlowResult:
         req = job.request
         key = (req.design, req.scale, req.flow_seed)
-        if self.cache_flows:
-            cached = self._flow_cache.get(key)
-            if cached is not None:
-                return cached
-        runner = FlowRunner(seed=req.flow_seed)
-        aig = benchmarks.build(req.design, req.scale)
-        flow = runner.run(aig, seed=req.flow_seed)
-        if self.cache_flows:
+        flow = self._flow_cache.get(key)
+        if flow is None:
+            aig = benchmarks.build(req.design, req.scale)
+            flow = FlowRunner(seed=req.flow_seed).run(aig, seed=req.flow_seed)
             self._flow_cache[key] = flow
         return flow
 
     @staticmethod
-    def _runtime_grid(flow: FlowResult) -> Dict[str, Dict[int, float]]:
-        return {
-            stage.value: {v: res.runtime(v) for v in VCPU_LEVELS}
-            for stage, res in flow.stages.items()
-        }
+    def _runtime_grid(flow: FlowResult) -> Dict[EDAStage, Dict[int, float]]:
+        """Modelled runtime per stage at each of the paper's vCPU levels."""
+        return {stage: res.runtimes() for stage, res in flow.stages.items()}
 
     def _select(
         self, job: Job, flow: FlowResult
     ) -> Tuple[Optional[Selection], list, float]:
         """MCKP selection under the request deadline (or a safe default)."""
-        runtimes = {
-            stage: {v: res.runtime(v) for v in VCPU_LEVELS}
-            for stage, res in flow.stages.items()
-        }
-        options = build_stage_options(runtimes)
+        options = build_stage_options(self._runtime_grid(flow))
         deadline = job.request.params.get("deadline_seconds")
         if deadline is None:
             # Twice the all-cheapest makespan: always feasible.
@@ -165,7 +153,10 @@ class PipelineRunner:
     def _run_flow(self, job: Job, ctx: JobContext) -> dict:
         flow = self._flow(job)
         ctx.checkpoint()
-        grid = self._runtime_grid(flow)
+        grid = {
+            stage.value: per_vcpu
+            for stage, per_vcpu in self._runtime_grid(flow).items()
+        }
         metrics = get_metrics()
         for stage, per_vcpu in grid.items():
             for vcpus, runtime in per_vcpu.items():
