@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..netlist.aig import AIG, lit_is_complemented, lit_node
 from ..obs import get_tracer
 from ..perf.instrument import NullInstrument
-from .truthtables import expand_table, full_mask
+from .truthtables import FULL_MASKS, expand_table
 
 __all__ = ["Cut", "CutSet", "enumerate_cuts", "CutEnumStats"]
 
@@ -140,13 +140,13 @@ def enumerate_cuts(
                         stats.pruned += 1
                         keep_branches.append(False)
                         continue
-                    nvars = len(union)
+                    full = FULL_MASKS[len(union)]
                     ta = _lift(ca, union)
                     tb = _lift(cb, union)
                     if compl_a:
-                        ta = ~ta & full_mask(nvars)
+                        ta = ~ta & full
                     if compl_b:
-                        tb = ~tb & full_mask(nvars)
+                        tb = ~tb & full
                     merged.append(Cut(leaves=union, table=ta & tb))
                     seen_leaves.add(union)
                     keep_branches.append(True)
@@ -155,14 +155,16 @@ def enumerate_cuts(
             # superset of another kept cut's leaves.
             merged.sort(key=lambda c: (c.size, c.leaves))
             filtered: List[Cut] = []
+            filtered_sets: List[set] = []
             for cut in merged:
                 leaf_set = set(cut.leaves)
-                dominated = any(set(f.leaves) < leaf_set for f in filtered)
+                dominated = any(f < leaf_set for f in filtered_sets)
                 keep_branches.append(not dominated)
                 if dominated:
                     stats.pruned += 1
                     continue
                 filtered.append(cut)
+                filtered_sets.append(leaf_set)
             filtered = filtered[:cap]
             filtered.append(Cut(leaves=(node,), table=trivial_table))
             cuts[node] = filtered

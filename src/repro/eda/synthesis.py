@@ -36,7 +36,7 @@ from ..perf.instrument import NullInstrument
 from .calibration import Calibration, DEFAULT_CALIBRATION
 from .cuts import Cut, enumerate_cuts
 from .job import EDAStage, JobResult
-from .truthtables import flip_var, full_mask, isop
+from .truthtables import FULL_MASKS, isop, negations
 
 __all__ = [
     "balance",
@@ -322,11 +322,7 @@ class TechnologyMapper:
     def _match(self, table: int, nvars: int, stats: MappingStats):
         """NPN-lite match: try all input-negation subsets, pick cheapest."""
         best = None
-        for neg in range(1 << nvars):
-            t = table
-            for j in range(nvars):
-                if (neg >> j) & 1:
-                    t = flip_var(t, j, nvars)
+        for neg, t in enumerate(negations(table, nvars)):
             stats.match_lookups += 1
             m = self.library.best_match(t, nvars)
             if m is None:
@@ -361,7 +357,7 @@ class TechnologyMapper:
             for cut in cuts[node]:
                 if cut.size == 1:
                     continue  # trivial cut cannot implement the node
-                if cut.table in (0, full_mask(cut.size)):
+                if cut.table in (0, FULL_MASKS[cut.size]):
                     continue
                 match = self._match(cut.table, cut.size, stats)
                 if match is None:

@@ -20,6 +20,8 @@ __all__ = [
     "support",
     "expand_table",
     "flip_var",
+    "negations",
+    "FULL_MASKS",
     "isop",
     "cube_cover",
     "Cube",
@@ -38,12 +40,42 @@ _VAR_MASKS = [
 
 MAX_VARS = 6
 
+#: ``FULL_MASKS[n]`` is :func:`full_mask` of ``n``, for table lookups on
+#: the hot paths that must not re-validate ``n`` per call.
+FULL_MASKS = tuple((1 << (1 << n)) - 1 for n in range(MAX_VARS + 1))
+
+
+def _swap_masks(a: int, b: int) -> Tuple[int, int, int]:
+    """``(mask, shift, keep)`` that exchange variables ``a < b``.
+
+    ``mask`` selects the minterms with ``x_a = 1, x_b = 0``; shifting them
+    left by ``shift`` lands on the matching ``x_a = 0, x_b = 1`` minterms.
+    ``keep`` selects the minterms where ``x_a == x_b``, which stay put.
+    """
+    mask = _VAR_MASKS[a] & ~_VAR_MASKS[b] & FULL_MASKS[MAX_VARS]
+    shift = (1 << b) - (1 << a)
+    return mask, shift, FULL_MASKS[MAX_VARS] & ~(mask | (mask << shift))
+
+
+#: ``_SWAPS[a][b]`` (``a != b``) are the :func:`_swap_masks` that exchange
+#: variables ``a`` and ``b``, in either order.
+_SWAPS = [
+    [_swap_masks(min(a, b), max(a, b)) if a != b else None for b in range(MAX_VARS)]
+    for a in range(MAX_VARS)
+]
+
+#: ``_FLIPS[n][j]`` is ``(var_table(j, n), full_mask(n) & ~var_table(j, n))``.
+_FLIPS = [
+    [(_VAR_MASKS[j] & FULL_MASKS[n], ~_VAR_MASKS[j] & FULL_MASKS[n]) for j in range(n)]
+    for n in range(MAX_VARS + 1)
+]
+
 
 def full_mask(nvars: int) -> int:
     """All-ones truth table over ``nvars`` variables."""
     if not 0 <= nvars <= MAX_VARS:
         raise ValueError(f"nvars must be in [0, {MAX_VARS}]")
-    return (1 << (1 << nvars)) - 1
+    return FULL_MASKS[nvars]
 
 
 def var_table(var: int, nvars: int) -> int:
@@ -94,18 +126,52 @@ def expand_table(
     """Re-express a table over a larger variable set.
 
     ``old_vars[j]`` gives the position, in the new variable order, of the
-    function's original variable ``j``.  Used when merging cuts: each fanin
-    cut's function is lifted onto the union leaf set.
+    function's original variable ``j``; the positions must be distinct and
+    below ``new_nvars``.  Used when merging cuts: each fanin cut's function
+    is lifted onto the union leaf set.
+
+    The lift is a bit permutation (ABC's ``Abc_TtStretch`` idea): the table
+    is first replicated over the new variables, so that variable ``j``
+    sits at position ``j`` and every higher position is a don't-care; then
+    each variable moves to its target with one masked swap, highest first.
     """
+    if new_nvars > MAX_VARS:
+        raise ValueError(f"new_nvars must be <= {MAX_VARS}")
     old_n = len(old_vars)
-    out = 0
-    for new_minterm in range(1 << new_nvars):
-        old_minterm = 0
-        for j, pos in enumerate(old_vars):
-            if (new_minterm >> pos) & 1:
-                old_minterm |= 1 << j
-        if (table >> old_minterm) & 1:
-            out |= 1 << new_minterm
+    out = table & FULL_MASKS[old_n]
+    for v in range(old_n, new_nvars):
+        out |= out << (1 << v)
+    # ``where[j]`` is the position variable ``j`` holds now and ``at[p]``
+    # the variable at position ``p`` (``>= old_n`` for a don't-care).  A
+    # swap never moves a variable already at its target, so one pass
+    # places all of them in any order; the bookkeeping follows the
+    # variables a swap displaces, which are only don't-cares when the
+    # targets are sorted, as they are for cut merging.
+    where = list(range(old_n))
+    at = list(range(new_nvars))
+    for j in range(old_n - 1, -1, -1):
+        src, dst = where[j], old_vars[j]
+        if src == dst:
+            continue
+        mask, shift, keep = _SWAPS[src][dst]
+        out = (out & keep) | ((out & mask) << shift) | ((out >> shift) & mask)
+        other = at[dst]
+        at[src], at[dst] = other, j
+        if other < old_n:
+            where[other] = src
+    return out
+
+
+def negations(table: int, nvars: int) -> List[int]:
+    """The table under every input-negation mask.
+
+    Entry ``neg`` is ``table`` with ``flip_var`` applied to each variable
+    whose bit is set in ``neg``: one flip per entry, built by doubling.
+    """
+    out = [table]
+    for j, (high_mask, low_mask) in enumerate(_FLIPS[nvars]):
+        shift = 1 << j
+        out += [((t & high_mask) >> shift) | ((t & low_mask) << shift) for t in out]
     return out
 
 

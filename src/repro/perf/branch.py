@@ -95,6 +95,10 @@ class GSharePredictor:
     """Gshare: 2-bit counters indexed by PC XOR global history."""
 
     def __init__(self, table_bits: int = 12, history_bits: int = 8):
+        if table_bits < 1 or table_bits > 24:
+            raise ValueError("table_bits must be in [1, 24]")
+        if history_bits < 0 or history_bits > 24:
+            raise ValueError("history_bits must be in [0, 24]")
         self.table_size = 1 << table_bits
         self.history_mask = (1 << history_bits) - 1
         self._table = bytearray([2] * self.table_size)
@@ -119,6 +123,9 @@ class GSharePredictor:
         return hit
 
     def process(self, pcs: Sequence[int], outcomes: Sequence[bool]) -> int:
+        """Run a stream of (pc, outcome) pairs; return the miss count added."""
+        if len(pcs) != len(outcomes):
+            raise ValueError("pcs and outcomes must have equal length")
         before = self.stats.misses
         for pc, taken in zip(pcs, outcomes):
             self.predict_and_update(pc, bool(taken))

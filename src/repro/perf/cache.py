@@ -45,15 +45,16 @@ class CacheLevel:
 
     def __init__(self, config: CacheConfig):
         self.config = config
-        self._sets = [OrderedDict() for _ in range(config.num_sets)]
+        self.num_sets = config.num_sets
+        #: One LRU-ordered set of line numbers per cache set, oldest first.
+        self._sets = [OrderedDict() for _ in range(self.num_sets)]
         self.hits = 0
         self.misses = 0
 
     def access(self, address: int) -> bool:
         """Access one byte address; returns ``True`` on hit."""
         line = address // self.config.line_bytes
-        index = line % self.config.num_sets
-        cache_set = self._sets[index]
+        cache_set = self._sets[line % self.num_sets]
         if line in cache_set:
             cache_set.move_to_end(line)
             self.hits += 1
@@ -93,13 +94,47 @@ class CacheHierarchy:
             return True, True
         return False, self.llc.access(address)
 
-    def access_stream(self, addresses: Iterable[int]) -> None:
-        """Process a whole address stream (counters accumulate internally)."""
-        l1_access = self.l1.access
-        llc_access = self.llc.access
+    def access_stream(self, addresses: Iterable[int]) -> Tuple[int, int, int, int]:
+        """Process a whole address stream; counters accumulate internally.
+
+        Equivalent to :meth:`access` per address, in one loop: the same
+        LRU updates in the same order, with the geometry and the tallies
+        held in locals and the tallies added to the levels at the end.
+        Each level maps an address to a line by its own line size.
+        Returns the stream's ``(l1_hits, l1_misses, llc_hits, llc_misses)``.
+        """
+        l1, llc = self.l1, self.llc
+        l1_sets, l1_sets_n = l1._sets, l1.num_sets
+        l1_line, l1_ways = l1.config.line_bytes, l1.config.associativity
+        llc_sets, llc_sets_n = llc._sets, llc.num_sets
+        llc_line, llc_ways = llc.config.line_bytes, llc.config.associativity
+        l1_hits = l1_misses = llc_hits = llc_misses = 0
         for addr in addresses:
-            if not l1_access(addr):
-                llc_access(addr)
+            line = addr // l1_line
+            cache_set = l1_sets[line % l1_sets_n]
+            if line in cache_set:
+                cache_set.move_to_end(line)
+                l1_hits += 1
+                continue
+            l1_misses += 1
+            cache_set[line] = True
+            if len(cache_set) > l1_ways:
+                cache_set.popitem(last=False)
+            line = addr // llc_line
+            cache_set = llc_sets[line % llc_sets_n]
+            if line in cache_set:
+                cache_set.move_to_end(line)
+                llc_hits += 1
+                continue
+            llc_misses += 1
+            cache_set[line] = True
+            if len(cache_set) > llc_ways:
+                cache_set.popitem(last=False)
+        l1.hits += l1_hits
+        l1.misses += l1_misses
+        llc.hits += llc_hits
+        llc.misses += llc_misses
+        return l1_hits, l1_misses, llc_hits, llc_misses
 
     def reset_stats(self) -> None:
         self.l1.reset_stats()

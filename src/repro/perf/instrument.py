@@ -115,24 +115,24 @@ class Instrument(NullInstrument):
 
     # ------------------------------------------------------------------
     def mem(self, addresses: Sequence[int], reads_per_element: int = 1) -> None:
-        """Replay a stream of byte addresses through the cache hierarchy."""
+        """Replay a stream of byte addresses through the cache hierarchy.
+
+        ``addresses`` is a list of Python ``int``s (convert a numpy array
+        once with ``.tolist()``); it goes to the cache loop as it is.
+        """
         n = len(addresses)
         if n == 0:
             return
         stride = self.sample_rate
         sampled = addresses[::stride] if stride > 1 else addresses
-        l1_hits_before = self.cache.l1.hits
-        l1_misses_before = self.cache.l1.misses
-        llc_hits_before = self.cache.llc.hits
-        llc_misses_before = self.cache.llc.misses
-        self.cache.access_stream(int(a) for a in sampled)
+        l1_hits, l1_misses, llc_hits, llc_misses = self.cache.access_stream(sampled)
         scale = (n * reads_per_element) / max(1, len(sampled))
         c = self._counters
         c.mem_accesses += n * reads_per_element
-        c.l1_hits += round((self.cache.l1.hits - l1_hits_before) * scale)
-        c.l1_misses += round((self.cache.l1.misses - l1_misses_before) * scale)
-        c.llc_hits += round((self.cache.llc.hits - llc_hits_before) * scale)
-        c.llc_misses += round((self.cache.llc.misses - llc_misses_before) * scale)
+        c.l1_hits += round(l1_hits * scale)
+        c.l1_misses += round(l1_misses * scale)
+        c.llc_hits += round(llc_hits * scale)
+        c.llc_misses += round(llc_misses * scale)
         # A memory access retires at least one instruction.
         c.instructions += n * reads_per_element
 

@@ -1,5 +1,8 @@
 """Property tests for the truth-table algebra and ISOP."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,8 +14,11 @@ from repro.eda.truthtables import (
     depends_on,
     expand_table,
     flip_var,
+    FULL_MASKS,
+    MAX_VARS,
     full_mask,
     isop,
+    negations,
     support,
     var_table,
 )
@@ -25,6 +31,7 @@ class TestBasics:
         assert full_mask(2) == 0b1111
         with pytest.raises(ValueError):
             full_mask(7)
+        assert FULL_MASKS == tuple(full_mask(n) for n in range(MAX_VARS + 1))
 
     def test_var_table(self):
         assert var_table(0, 2) == 0b1010
@@ -80,6 +87,62 @@ def test_expand_table_preserves_semantics(table):
             if (minterm >> pos) & 1:
                 old_minterm |= 1 << j
         assert ((lifted >> minterm) & 1) == ((table >> old_minterm) & 1)
+
+
+def expand_table_reference(table, old_vars, new_nvars):
+    """The per-minterm lift ``expand_table`` replaced, kept as the oracle."""
+    out = 0
+    for new_minterm in range(1 << new_nvars):
+        old_minterm = 0
+        for j, pos in enumerate(old_vars):
+            if (new_minterm >> pos) & 1:
+                old_minterm |= 1 << j
+        if (table >> old_minterm) & 1:
+            out |= 1 << new_minterm
+    return out
+
+
+def test_expand_table_matches_reference_on_every_position_list():
+    """Every injective position list, sorted or not, up to six variables."""
+    rng = random.Random(0)
+    lists = 0
+    for new_nvars in range(MAX_VARS + 1):
+        for old_n in range(new_nvars + 1):
+            for positions in itertools.permutations(range(new_nvars), old_n):
+                lists += 1
+                tables = [0, FULL_MASKS[old_n]]
+                tables += [rng.getrandbits(1 << old_n) for _ in range(3)]
+                for table in tables:
+                    assert expand_table(table, list(positions), new_nvars) == (
+                        expand_table_reference(table, positions, new_nvars)
+                    ), (table, positions, new_nvars)
+    assert lists == 2372
+
+
+def test_expand_table_ignores_bits_above_the_old_table():
+    """Bits past minterm 2**len(old_vars) were never read by the loop."""
+    table = 0b0110 | (1 << 9)
+    assert expand_table(table, [2, 0], 3) == expand_table_reference(table, [2, 0], 3)
+
+
+def test_expand_table_rejects_more_than_six_variables():
+    with pytest.raises(ValueError, match="new_nvars"):
+        expand_table(0b10, [0], MAX_VARS + 1)
+
+
+@pytest.mark.parametrize("nvars", range(MAX_VARS + 1))
+def test_negations_match_flip_var(nvars):
+    """Entry ``neg`` flips exactly the variables set in ``neg``."""
+    rng = random.Random(nvars)
+    for table in (0, FULL_MASKS[nvars], rng.getrandbits(1 << nvars)):
+        tables = negations(table, nvars)
+        assert len(tables) == 1 << nvars
+        for neg, flipped in enumerate(tables):
+            expected = table
+            for j in range(nvars):
+                if (neg >> j) & 1:
+                    expected = flip_var(expected, j, nvars)
+            assert flipped == expected
 
 
 class TestISOP:

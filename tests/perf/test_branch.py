@@ -86,3 +86,31 @@ class TestGShare:
         g.process([1] * 10, [True] * 10)
         assert g.stats.branches == 10
         assert 0 <= g.miss_rate <= 1
+
+    def test_length_mismatch_rejected(self):
+        g = GSharePredictor()
+        with pytest.raises(ValueError, match="equal length"):
+            g.process([1, 2, 3], [True, False])
+        assert g.stats.branches == 0
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"table_bits": 0}, "table_bits"),
+            ({"table_bits": 25}, "table_bits"),
+            ({"table_bits": -1}, "table_bits"),
+            ({"history_bits": -1}, "history_bits"),
+            ({"history_bits": 25}, "history_bits"),
+        ],
+    )
+    def test_bits_validation(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            GSharePredictor(**kwargs)
+
+    def test_zero_history_bits_is_a_per_pc_table(self):
+        """With no history gshare indexes by pc alone, like the 2-bit table."""
+        outcomes = [i % 3 != 0 for i in range(300)]
+        pcs = [i % 5 for i in range(300)]
+        g = GSharePredictor(table_bits=10, history_bits=0)
+        t = TwoBitPredictor(table_bits=10)
+        assert g.process(pcs, outcomes) == t.process(pcs, outcomes)

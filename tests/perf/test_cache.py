@@ -1,5 +1,7 @@
 """Tests for the cache hierarchy simulator."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,7 @@ from repro.perf.cache import (
     CacheLevel,
     hierarchy_for_vcpus,
 )
+from repro.parallel import PAPER_VCPU_LEVELS
 
 
 class TestConfig:
@@ -112,3 +115,65 @@ class TestHierarchy:
         h1.access_stream(addresses)
         h8.access_stream(addresses)
         assert h8.llc.misses < h1.llc.misses
+
+
+def _stream(seed, n=20000):
+    """Seeded mix of a hot working set, a cold scatter and sequential scans."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        kind = rng.random()
+        if kind < 0.5:
+            out.extend(rng.randrange(1 << 13) * 8 for _ in range(32))
+        elif kind < 0.8:
+            out.extend(rng.randrange(1 << 22) for _ in range(16))
+        else:
+            base = rng.randrange(1 << 16) * 64
+            out.extend(range(base, base + 64 * 48, 16))
+    return out[:n]
+
+
+def _replayed(hierarchy, stream):
+    for address in stream:
+        hierarchy.access(address)
+    return hierarchy
+
+
+def _lru_state(hierarchy):
+    return [[list(s) for s in level._sets] for level in (hierarchy.l1, hierarchy.llc)]
+
+
+def _assert_stream_equals_replay(make, stream):
+    streamed, replayed = make(), _replayed(make(), stream)
+    tallies = [0, 0, 0, 0]
+    for start in range(0, len(stream), 997):
+        chunk = streamed.access_stream(stream[start:start + 997])
+        tallies = [a + b for a, b in zip(tallies, chunk)]
+    assert streamed.stats == replayed.stats
+    assert tallies == [
+        replayed.l1.hits, replayed.l1.misses, replayed.llc.hits, replayed.llc.misses
+    ]
+    assert _lru_state(streamed) == _lru_state(replayed)
+
+
+@pytest.mark.parametrize("vcpus", PAPER_VCPU_LEVELS)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_access_stream_equals_per_address_replay(vcpus, seed):
+    """Same hits, misses and final LRU order in every set of both levels."""
+    stream = _stream(seed)
+    _assert_stream_equals_replay(lambda: hierarchy_for_vcpus(vcpus), stream)
+    # The stream hits and misses in both levels.
+    assert min(hierarchy_for_vcpus(vcpus).access_stream(stream)) > 0
+
+
+@pytest.mark.parametrize("l1_line, llc_line", [(32, 128), (128, 64)])
+def test_access_stream_with_different_line_sizes(l1_line, llc_line):
+    """Each level maps an address to its own line size."""
+    def make():
+        return CacheHierarchy(
+            CacheConfig(size_bytes=4096, line_bytes=l1_line, associativity=4),
+            CacheConfig(size_bytes=32768, line_bytes=llc_line, associativity=8),
+        )
+
+    _assert_stream_equals_replay(make, _stream(2))
+
